@@ -10,12 +10,9 @@
     clippy::unwrap_used,
     reason = "bench harness code may panic on a broken fixture"
 )]
-#![allow(
-    clippy::cast_possible_truncation,
-    reason = "bench harness code may panic on a broken fixture"
-)]
 
 use activedr_bench::{decision_fixture, tiny_scenario};
+use activedr_core::convert;
 use activedr_core::prelude::*;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -25,7 +22,7 @@ use std::hint::black_box;
 fn linear_rank_product(ratios: &[(f64, u32)]) -> f64 {
     let mut phi = 1.0f64;
     for &(b, e) in ratios {
-        phi *= b.powi(e as i32);
+        phi *= b.powi(i32::try_from(e).unwrap_or(i32::MAX));
         if phi.is_infinite() {
             return f64::MAX;
         }
@@ -44,7 +41,7 @@ fn bench(c: &mut Criterion) {
     // 1. Rank arithmetic: log-domain vs saturating linear.
     {
         let ratios: Vec<(f64, u32)> = (1..=53)
-            .map(|e| (0.2 + (e as f64 * 0.37) % 4.0, e))
+            .map(|e| (0.2 + (f64::from(e) * 0.37) % 4.0, e))
             .collect();
         let mut group = c.benchmark_group("ablation_rank_arithmetic");
         group.bench_function("log_domain", |b| {
@@ -59,7 +56,8 @@ fn bench(c: &mut Criterion) {
     // 2. Retrospective depth and adjustment mode on a real catalog.
     let scenario = tiny_scenario();
     let fixture = decision_fixture(&scenario);
-    let deep_target = (fixture.catalog.total_bytes() as f64 * 0.7) as u64;
+    let deep_target =
+        convert::trunc_to_u64(convert::approx_f64(fixture.catalog.total_bytes()) * 0.7);
 
     {
         let mut group = c.benchmark_group("ablation_retro_passes");
@@ -90,7 +88,7 @@ fn bench(c: &mut Criterion) {
         let config = ActivenessConfig::year_window(7);
         let users = scenario.traces.user_ids();
         let weeks: Vec<Timestamp> = (0..13)
-            .map(|w| Timestamp::from_days(scenario.traces.replay_start_day as i64 + 7 * w))
+            .map(|w| Timestamp::from_days(i64::from(scenario.traces.replay_start_day) + 7 * w))
             .collect();
 
         group.bench_function("batch_rederive_weekly", |b| {

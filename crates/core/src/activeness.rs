@@ -23,15 +23,12 @@
 //!   neutral rank `Φ = 1` per §3.4.
 
 #![allow(
-    clippy::cast_possible_truncation,
-    reason = "periods_back is clamped to the window length before the cast"
-)]
-#![allow(
     clippy::indexing_slicing,
     reason = "index sites here are counted and ratcheted by `cargo xtask check` (crates/xtask/panic-baseline.txt)"
 )]
 
 use crate::config::ActivenessConfig;
+use crate::convert;
 use crate::event::{ActivityClass, ActivityEvent, ActivityTypeId, ActivityTypeRegistry};
 use crate::rank::Rank;
 use crate::time::Timestamp;
@@ -223,10 +220,11 @@ impl ActivenessEvaluator {
             // Eq. (4): e = m − ⌈(t_c − ts)/d⌉ + 1, with an activity exactly
             // at t_c landing in the newest period.
             let periods_back = tc.age_since(ts).div_ceil_periods(self.config.period).max(1);
-            if periods_back > m as i64 {
+            let back = convert::usize_from_i64(periods_back);
+            if back > m {
                 continue; // older than the window
             }
-            let e = m - periods_back as usize + 1;
+            let e = m - back + 1;
             buckets[e - 1] += impact;
             events_in_window += 1;
         }
@@ -240,12 +238,12 @@ impl ActivenessEvaluator {
                 events_in_window,
             };
         }
-        let average = total / m as f64; // Eq. (2)
+        let average = total / convert::approx_f64_usize(m); // Eq. (2)
 
         // Eq. (5) in log domain: ln Φ = Σ_e e · ln(b_{p_e}).
         let mut ln_phi = 0.0f64;
         for (idx, &d_pe) in buckets.iter().enumerate() {
-            let e = (idx + 1) as f64;
+            let e = convert::approx_f64_usize(idx + 1);
             if d_pe > 0.0 {
                 ln_phi += e * (d_pe.ln() - average.ln());
             } else if self.empty_periods == EmptyPeriods::Zero {
@@ -379,7 +377,7 @@ mod tests {
     fn uniform_activity_is_exactly_neutral() {
         // Equal impact in every period: every b = 1 so Φ = 1.
         let ev = evaluator(1, 4);
-        let impacts: Vec<_> = (0..4).map(|i| (day(i as f64 + 0.5), 3.0)).collect();
+        let impacts: Vec<_> = (0..4).map(|i| (day(f64::from(i) + 0.5), 3.0)).collect();
         let ta = ev.type_activeness(day(4.0), impacts);
         assert!((ta.rank.value() - 1.0).abs() < 1e-12);
         assert!(ta.rank.is_active()); // Φ ≥ 1 counts as active

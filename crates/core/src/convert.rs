@@ -1,18 +1,21 @@
 //! Checked and documented numeric conversions.
 //!
-//! Raw `as` casts are audited by `cargo xtask check` (the `cast-audit`
-//! ratchet): each one silently truncates, wraps, or loses precision at the
-//! edges of its range, and nothing at the call site says which of those the
-//! author considered. This module is the workspace's single home for the
-//! conversions the emulation actually needs, each with its edge behaviour
-//! in the name or the docs. `cast-audit` exempts this file — the casts
-//! below are the blessed implementations the rest of the tree routes
-//! through.
+//! A raw `as` cast silently truncates, wraps, or loses precision at the
+//! edges of its range, and nothing at the call site says which of those
+//! the author considered. The workspace lint wall (`[workspace.lints.clippy]`
+//! in the root `Cargo.toml`) denies every lossy cast — `cast_possible_truncation`,
+//! `cast_possible_wrap`, `cast_sign_loss`, `cast_precision_loss` — and
+//! `cast_lossless` routes the lossless ones through `From`. This module is
+//! the workspace's single home for the conversions the emulation actually
+//! needs, each with its edge behaviour in the name or the docs, and the
+//! only library file allowed to cast raw.
 //!
 //! Width notes: the workspace targets 64-bit platforms (the paper-scale
 //! traces do not fit in a 32-bit address space), so `usize` ↔ `u64`
 //! conversions here are documented as lossless in one direction and
-//! saturating in the other.
+//! saturating in the other. The assertion below turns that assumption into
+//! a build failure on any other target, which is what makes the remaining
+//! raw `u32 as usize` / `usize as u64` widenings elsewhere lossless.
 
 #![allow(
     clippy::cast_possible_truncation,
@@ -29,22 +32,30 @@
 
 use crate::time::SECS_PER_DAY;
 
+const _: () = assert!(
+    usize::BITS == 64,
+    "the workspace supports 64-bit targets only"
+);
+
 // --- int -> f64 approximations ---------------------------------------------
 
 /// `u64` as an approximate `f64` (exact up to 2^53; paper-scale counters
 /// and byte totals stay far below that, larger values round).
+#[inline]
 #[must_use]
 pub fn approx_f64(x: u64) -> f64 {
     x as f64
 }
 
 /// `i64` as an approximate `f64` (exact up to ±2^53).
+#[inline]
 #[must_use]
 pub fn approx_f64_i64(x: i64) -> f64 {
     x as f64
 }
 
 /// `usize` as an approximate `f64` (exact up to 2^53).
+#[inline]
 #[must_use]
 pub fn approx_f64_usize(x: usize) -> f64 {
     x as f64
@@ -54,6 +65,7 @@ pub fn approx_f64_usize(x: usize) -> f64 {
 
 /// `num / den` in `f64`, with the convention that an empty denominator
 /// yields `0.0` (a rate over no events is "no events", not a NaN).
+#[inline]
 #[must_use]
 pub fn ratio(num: u64, den: u64) -> f64 {
     if den == 0 {
@@ -64,6 +76,7 @@ pub fn ratio(num: u64, den: u64) -> f64 {
 }
 
 /// [`ratio`] over `usize` counts.
+#[inline]
 #[must_use]
 pub fn ratio_usize(num: usize, den: usize) -> f64 {
     if den == 0 {
@@ -78,6 +91,7 @@ pub fn ratio_usize(num: usize, den: usize) -> f64 {
 /// Round to the nearest `i64`, saturating at the type's range; NaN maps to
 /// zero. (Bare `as` would return `i64::MAX`/`i64::MIN`/0 silently — this
 /// spells the same clamping out.)
+#[inline]
 #[must_use]
 pub fn round_to_i64(x: f64) -> i64 {
     if x.is_nan() {
@@ -89,6 +103,7 @@ pub fn round_to_i64(x: f64) -> i64 {
 
 /// Round to the nearest `u64`; negatives and NaN map to zero, overflow
 /// saturates at `u64::MAX`.
+#[inline]
 #[must_use]
 pub fn round_to_u64(x: f64) -> u64 {
     if x.is_nan() {
@@ -100,6 +115,7 @@ pub fn round_to_u64(x: f64) -> u64 {
 
 /// Round to the nearest `u32`; negatives and NaN map to zero, overflow
 /// saturates at `u32::MAX`.
+#[inline]
 #[must_use]
 pub fn round_to_u32(x: f64) -> u32 {
     if x.is_nan() {
@@ -111,6 +127,7 @@ pub fn round_to_u32(x: f64) -> u32 {
 
 /// Round to the nearest `usize`; negatives and NaN map to zero, overflow
 /// saturates.
+#[inline]
 #[must_use]
 pub fn round_to_usize(x: f64) -> usize {
     if x.is_nan() {
@@ -122,6 +139,7 @@ pub fn round_to_usize(x: f64) -> usize {
 
 /// Truncate toward zero to a `usize` index; negatives and NaN map to zero,
 /// overflow saturates.
+#[inline]
 #[must_use]
 pub fn trunc_to_usize(x: f64) -> usize {
     if x.is_nan() {
@@ -133,6 +151,7 @@ pub fn trunc_to_usize(x: f64) -> usize {
 
 /// Truncate toward zero to an `i64` (the exact semantics of `as i64`, with
 /// the NaN -> 0 and saturation edges spelled out).
+#[inline]
 #[must_use]
 pub fn trunc_to_i64(x: f64) -> i64 {
     if x.is_nan() {
@@ -143,6 +162,7 @@ pub fn trunc_to_i64(x: f64) -> i64 {
 }
 
 /// Truncate toward zero to a `u64`; negatives and NaN map to zero.
+#[inline]
 #[must_use]
 pub fn trunc_to_u64(x: f64) -> u64 {
     if x.is_nan() {
@@ -154,6 +174,7 @@ pub fn trunc_to_u64(x: f64) -> u64 {
 
 /// Truncate toward zero to a `u32`; negatives and NaN map to zero, overflow
 /// saturates.
+#[inline]
 #[must_use]
 pub fn trunc_to_u32(x: f64) -> u32 {
     if x.is_nan() {
@@ -167,6 +188,7 @@ pub fn trunc_to_u32(x: f64) -> u32 {
 
 /// `u32` -> `usize`, lossless (usize is at least 32 bits on every supported
 /// target).
+#[inline]
 #[must_use]
 pub fn usize_from_u32(x: u32) -> usize {
     x as usize
@@ -174,13 +196,22 @@ pub fn usize_from_u32(x: u32) -> usize {
 
 /// `usize` -> `u64`, lossless on the 64-bit targets this workspace
 /// supports.
+#[inline]
 #[must_use]
 pub fn u64_from_usize(x: usize) -> u64 {
     x as u64
 }
 
+/// `i64` -> `usize`, saturating: negatives map to zero.
+#[inline]
+#[must_use]
+pub fn usize_from_i64(x: i64) -> usize {
+    usize::try_from(x).unwrap_or(0)
+}
+
 /// `u64` -> `usize`, saturating on (hypothetical) 32-bit targets, lossless
 /// on 64-bit ones.
+#[inline]
 #[must_use]
 pub fn usize_from_u64(x: u64) -> usize {
     usize::try_from(x).unwrap_or(usize::MAX)
@@ -188,6 +219,7 @@ pub fn usize_from_u64(x: u64) -> usize {
 
 /// `usize` -> `u32`, saturating: collection sizes beyond `u32::MAX` clamp
 /// instead of wrapping.
+#[inline]
 #[must_use]
 pub fn u32_from_usize(x: usize) -> u32 {
     u32::try_from(x).unwrap_or(u32::MAX)
@@ -195,6 +227,7 @@ pub fn u32_from_usize(x: usize) -> u32 {
 
 /// `usize` -> `u16`, saturating: dense type-id spaces past `u16::MAX`
 /// clamp instead of wrapping onto an existing id.
+#[inline]
 #[must_use]
 pub fn u16_from_usize(x: usize) -> u16 {
     u16::try_from(x).unwrap_or(u16::MAX)
@@ -202,6 +235,7 @@ pub fn u16_from_usize(x: usize) -> u16 {
 
 /// `u64` -> `u32`, saturating: identifiers past `u32::MAX` clamp instead
 /// of wrapping to an unrelated id.
+#[inline]
 #[must_use]
 pub fn u32_from_u64(x: u64) -> u32 {
     u32::try_from(x).unwrap_or(u32::MAX)
@@ -209,6 +243,7 @@ pub fn u32_from_u64(x: u64) -> u32 {
 
 /// `u64` -> `i64`, saturating: byte totals past `i64::MAX` (8 EiB) clamp
 /// instead of going negative.
+#[inline]
 #[must_use]
 pub fn i64_from_u64(x: u64) -> i64 {
     i64::try_from(x).unwrap_or(i64::MAX)
@@ -216,6 +251,7 @@ pub fn i64_from_u64(x: u64) -> i64 {
 
 /// Microsecond counts (`Duration::as_micros` returns `u128`) down to `u64`,
 /// saturating — ~584 thousand years of microseconds fit in a `u64`.
+#[inline]
 #[must_use]
 pub fn u64_from_micros(x: u128) -> u64 {
     u64::try_from(x).unwrap_or(u64::MAX)
@@ -226,6 +262,7 @@ pub fn u64_from_micros(x: u128) -> u64 {
 /// Whole days to seconds — the `to_ts(d)` direction of the paper's Eq. 1,
 /// for call sites that need raw seconds rather than a
 /// [`crate::time::Timestamp`].
+#[inline]
 #[must_use]
 pub fn secs_from_days(days: i64) -> i64 {
     days.saturating_mul(SECS_PER_DAY)
@@ -264,6 +301,8 @@ mod tests {
         assert_eq!(usize_from_u32(7), 7);
         assert_eq!(u64_from_usize(7), 7);
         assert_eq!(usize_from_u64(7), 7);
+        assert_eq!(usize_from_i64(7), 7);
+        assert_eq!(usize_from_i64(-1), 0);
         assert_eq!(u32_from_usize(7), 7);
         assert_eq!(u32_from_usize(usize::MAX), u32::MAX);
         assert_eq!(u32_from_u64(9), 9);

@@ -24,10 +24,6 @@
     clippy::indexing_slicing,
     reason = "index sites here are counted and ratcheted by `cargo xtask check` (crates/xtask/panic-baseline.txt)"
 )]
-#![allow(
-    clippy::cast_possible_truncation,
-    reason = "values are bounded far below the narrow type's range at paper scale"
-)]
 
 use super::{GroupScan, PurgeRequest, PurgedFile, RetentionOutcome, RetentionPolicy};
 use crate::activeness::{ActivenessTable, UserActiveness};
@@ -66,7 +62,7 @@ impl ActiveDrPolicy {
             }
         };
         // Decay in log domain: Φ·(1−δ)^pass.
-        let mut decayed_ln = base_ln + (1.0 - self.config.retro_decay).ln() * pass as f64;
+        let mut decayed_ln = base_ln + (1.0 - self.config.retro_decay).ln() * f64::from(pass);
         // §3.4 protection: an active-quadrant user never falls below the
         // initial lifetime, i.e. is never treated worse than under FLT.
         if self.config.protect_active_floor

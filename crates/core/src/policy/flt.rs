@@ -40,7 +40,7 @@ impl FltPolicy {
 
     /// Shorthand for [`FltPolicy::new`] with a day count.
     pub fn days(lifetime_days: u32) -> Self {
-        FltPolicy::new(TimeDelta::from_days(lifetime_days as i64))
+        FltPolicy::new(TimeDelta::from_days(i64::from(lifetime_days)))
     }
 
     /// The preset a given facility runs (Table 1).

@@ -39,7 +39,7 @@ impl ScratchCachePolicy {
 
     /// Shorthand for [`ScratchCachePolicy::new`] with a day count.
     pub fn days(days: u32) -> Self {
-        ScratchCachePolicy::new(TimeDelta::from_days(days as i64))
+        ScratchCachePolicy::new(TimeDelta::from_days(i64::from(days)))
     }
 }
 

@@ -101,7 +101,7 @@ impl Rank {
             return Rank::NEUTRAL;
         }
         // -inf * positive stays -inf; 0 * anything handled above.
-        Rank(self.0 * k as f64)
+        Rank(self.0 * f64::from(k))
     }
 
     /// The linear multiplier for Eq. (7), clamped into `[floor, cap]`.

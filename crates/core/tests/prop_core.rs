@@ -1,10 +1,6 @@
 //! Property-based tests for the activeness model and retention policies.
 
-#![allow(
-    clippy::cast_possible_truncation,
-    reason = "property inputs are tiny; casts cannot truncate"
-)]
-
+use activedr_core::convert;
 use activedr_core::prelude::*;
 use proptest::prelude::*;
 use proptest::strategy::ValueTree;
@@ -18,7 +14,10 @@ fn evaluator(period_days: u32, m: u32) -> ActivenessEvaluator {
 
 /// Arbitrary activity history: (day offset in window, impact) pairs.
 fn history(max_days: i64) -> impl Strategy<Value = Vec<(f64, f64)>> {
-    prop::collection::vec((0.0..max_days as f64, 0.01f64..1000.0), 0..40)
+    prop::collection::vec(
+        (0.0..convert::approx_f64_i64(max_days), 0.01f64..1000.0),
+        0..40,
+    )
 }
 
 proptest! {
@@ -52,7 +51,7 @@ proptest! {
         let tc = Timestamp::from_days(70);
         // Place events mid-period to avoid boundary ties.
         let newer_ts = Timestamp::from_days_f64(66.5 - 0.0);
-        let older_ts = Timestamp::from_days_f64(66.5 - 7.0 * (older as f64 + 1.0));
+        let older_ts = Timestamp::from_days_f64(66.5 - 7.0 * (convert::approx_f64_i64(older) + 1.0));
         let newer = ev.type_activeness(tc, vec![(newer_ts, impact)]);
         let old = ev.type_activeness(tc, vec![(older_ts, impact)]);
         prop_assert!(newer.rank >= old.rank);
@@ -101,7 +100,7 @@ proptest! {
             .map(|(u, kind, day, impact)| {
                 ActivityEvent::new(
                     UserId(u),
-                    activedr_core::event::ActivityTypeId(kind as u16 % registry.len() as u16),
+                    activedr_core::event::ActivityTypeId(u16::from(kind) % convert::u16_from_usize(registry.len())),
                     Timestamp::from_days_f64(day),
                     impact,
                 )
@@ -156,7 +155,7 @@ fn arb_catalog() -> impl Strategy<Value = Catalog> {
                 .enumerate()
                 .map(|(u, files)| {
                     UserFiles::new(
-                        UserId(u as u32),
+                        UserId(convert::u32_from_usize(u)),
                         files
                             .into_iter()
                             .map(|(size, atime_day, exempt)| {
@@ -184,7 +183,7 @@ fn arb_table(n_users: u32) -> impl Strategy<Value = ActivenessTable> {
             .enumerate()
             .map(|(u, (op, oc))| {
                 (
-                    UserId(u as u32),
+                    UserId(convert::u32_from_usize(u)),
                     UserActiveness::new(Rank::from_value(op), Rank::from_value(oc)),
                 )
             })
@@ -203,7 +202,7 @@ proptest! {
         let mut expected = 0u64;
         for uf in &catalog.users {
             for f in &uf.files {
-                if !f.exempt && tc.age_since(f.atime) > TimeDelta::from_days(lifetime as i64) {
+                if !f.exempt && tc.age_since(f.atime) > TimeDelta::from_days(i64::from(lifetime)) {
                     expected += 1;
                 }
             }
@@ -222,7 +221,7 @@ proptest! {
         target in prop::option::of(1u64..5_000_000),
         lifetime in 1u32..365,
     ) {
-        let n = catalog.users.len() as u32;
+        let n = convert::u32_from_usize(catalog.users.len());
         let table_strategy = arb_table(n);
         let mut runner = proptest::test_runner::TestRunner::deterministic();
         let table = table_strategy.new_tree(&mut runner).unwrap().current();
@@ -270,7 +269,7 @@ proptest! {
         catalog in arb_catalog(),
         lifetime in 1u32..200,
     ) {
-        let n = catalog.users.len() as u32;
+        let n = convert::u32_from_usize(catalog.users.len());
         let mut runner = proptest::test_runner::TestRunner::deterministic();
         let table = arb_table(n).new_tree(&mut runner).unwrap().current();
         let tc = Timestamp::from_days(400);
@@ -297,7 +296,7 @@ proptest! {
     /// Breakdown conservation: purged + retained == catalog totals.
     #[test]
     fn breakdown_conserves_bytes(catalog in arb_catalog(), lifetime in 1u32..365) {
-        let n = catalog.users.len() as u32;
+        let n = convert::u32_from_usize(catalog.users.len());
         let mut runner = proptest::test_runner::TestRunner::deterministic();
         let table = arb_table(n).new_tree(&mut runner).unwrap().current();
         let tc = Timestamp::from_days(400);

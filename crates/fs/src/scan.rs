@@ -129,8 +129,8 @@ mod tests {
                 fs.create(
                     &format!("/scratch/u{u}/proj/file{f:03}.dat"),
                     UserId(u),
-                    (u as u64 + 1) * 10 + f as u64,
-                    Timestamp::from_days((u + f) as i64),
+                    (u64::from(u) + 1) * 10 + u64::from(f),
+                    Timestamp::from_days(i64::from(u + f)),
                 )
                 .unwrap();
             }

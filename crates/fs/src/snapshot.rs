@@ -6,13 +6,9 @@
 //! file — serialized as JSON lines so the CLI can persist and reload
 //! populations, and so experiments can restart from a captured state.
 
-#![allow(
-    clippy::cast_possible_truncation,
-    reason = "values are bounded far below the narrow type's range at paper scale"
-)]
-
 use crate::meta::FileMeta;
 use crate::vfs::VirtualFs;
+use activedr_core::convert;
 use activedr_core::time::Timestamp;
 use activedr_core::user::UserId;
 use serde::{Deserialize, Serialize};
@@ -210,7 +206,7 @@ impl Snapshot {
         let header_line = lines.next().ok_or(SnapshotError::MissingHeader)??;
         let header: Header =
             serde_json::from_str(&header_line).map_err(|_| SnapshotError::MissingHeader)?;
-        let mut entries = Vec::with_capacity(header.files as usize);
+        let mut entries = Vec::with_capacity(convert::usize_from_u64(header.files));
         for (i, line) in lines.enumerate() {
             let line = line?;
             if line.trim().is_empty() {

@@ -14,6 +14,7 @@
 
 use crate::report::render_table;
 use crate::scenario::Scenario;
+use activedr_core::convert;
 use activedr_core::prelude::*;
 use activedr_trace::activity_events;
 use serde::{Deserialize, Serialize};
@@ -40,8 +41,8 @@ impl ChurnData {
         let evaluator =
             ActivenessEvaluator::new(registry.clone(), ActivenessConfig::year_window(period_days));
         let users = scenario.traces.user_ids();
-        let start = scenario.traces.replay_start_day as i64;
-        let end = scenario.traces.horizon_days as i64;
+        let start = i64::from(scenario.traces.replay_start_day);
+        let end = i64::from(scenario.traces.horizon_days);
 
         let mut transitions = [[0u64; 4]; 4];
         let mut changes: Vec<u32> = vec![0; users.len()];
@@ -85,7 +86,7 @@ impl ChurnData {
             return 1.0;
         }
         let diagonal: u64 = (0..4).map(|i| self.transitions[i][i]).sum();
-        diagonal as f64 / total as f64
+        convert::ratio(diagonal, total)
     }
 
     pub fn render(&self) -> String {

@@ -51,7 +51,7 @@ fn reduction(flt: u64, adr: u64) -> f64 {
     if flt == 0 {
         0.0
     } else {
-        1.0 - adr as f64 / flt as f64
+        1.0 - convert::ratio(adr, flt)
     }
 }
 
@@ -59,7 +59,7 @@ impl VarianceData {
     pub fn compute(scale: Scale, base_seed: u64, n_seeds: u32) -> VarianceData {
         assert!(n_seeds > 0, "need at least one seed");
         let lifetime_days = 90;
-        let rows: Vec<SeedRow> = (0..n_seeds as u64)
+        let rows: Vec<SeedRow> = (0..u64::from(n_seeds))
             .map(|i| {
                 let seed = base_seed + i;
                 let scenario = Scenario::build(scale, seed);

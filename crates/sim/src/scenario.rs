@@ -84,8 +84,8 @@ mod tests {
         let s = Scenario::build(Scale::Tiny, 5);
         assert!(s.initial_fs.file_count() > 0);
         assert!(s.initial_fs.used_bytes() <= s.initial_fs.capacity());
-        assert!(s.snapshot_day() > s.traces.replay_start_day as i64);
-        assert!(s.snapshot_day() < s.traces.horizon_days as i64);
+        assert!(s.snapshot_day() > i64::from(s.traces.replay_start_day));
+        assert!(s.snapshot_day() < i64::from(s.traces.horizon_days));
     }
 
     #[test]

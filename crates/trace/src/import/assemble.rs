@@ -60,8 +60,8 @@ pub fn assemble(
         replay_start_day < horizon_days,
         "replay must fit in horizon"
     );
-    let replay_start = Timestamp::from_days(replay_start_day as i64);
-    let horizon = Timestamp::from_days(horizon_days as i64);
+    let replay_start = Timestamp::from_days(i64::from(replay_start_day));
+    let horizon = Timestamp::from_days(i64::from(horizon_days));
 
     // Ledger of pre-replay files: path -> (owner, size, created, atime).
     let mut ledger: HashMap<String, FileSeed> = HashMap::new();

@@ -15,7 +15,7 @@ fn days_from_civil(y: i64, m: u32, d: u32) -> i64 {
     let era = if y >= 0 { y } else { y - 399 } / 400;
     let yoe = y - era * 400; // [0, 399]
     let mp = (m + 9) % 12; // Mar=0 .. Feb=11
-    let doy = (153 * mp as i64 + 2) / 5 + d as i64 - 1; // [0, 365]
+    let doy = (153 * i64::from(mp) + 2) / 5 + i64::from(d) - 1; // [0, 365]
     let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy; // [0, 146096]
     era * 146_097 + doe - 719_468
 }

@@ -58,10 +58,6 @@ pub struct FnItem {
     pub is_pub: bool,
     /// `#[must_use]` present on the item.
     pub must_use: bool,
-    /// Parameters as `(pattern text, type text)` pairs, `self` receivers
-    /// included (their type text is empty). The interval prover seeds
-    /// value ranges from integer-typed parameters.
-    pub params: Vec<(String, String)>,
     /// Return type text (`Result < Inserted , InsertError >`), `None` when
     /// the function returns `()`.
     pub ret: Option<String>,
@@ -161,8 +157,6 @@ pub enum ExprKind {
     },
     Block(Block),
     If {
-        /// `if let <pat> = …` pattern text; `None` for a plain `if`.
-        pat: Option<String>,
         cond: Box<Expr>,
         then: Block,
         els: Option<Box<Expr>>,
@@ -497,11 +491,9 @@ impl<'a> Parser<'a> {
         if self.at_punct("<") {
             self.skip_angles();
         }
-        let params = if self.at_punct("(") {
-            self.parse_params()
-        } else {
-            Vec::new()
-        };
+        if self.at_punct("(") {
+            self.skip_group("(", ")");
+        }
         let mut ret = None;
         if self.eat_punct("->") {
             ret = Some(self.capture_type_text(&["{", ";"], true));
@@ -526,60 +518,10 @@ impl<'a> Parser<'a> {
             name,
             is_pub,
             must_use,
-            params,
             ret,
             body,
             line,
         }
-    }
-
-    /// Parse a parenthesised parameter list into `(pattern, type)` text
-    /// pairs, splitting entries on top-level commas and each entry on its
-    /// first top-level `:`. A `self` receiver yields `("self", "")`-style
-    /// entries (with any `&`/`mut` prefix folded into the pattern text).
-    fn parse_params(&mut self) -> Vec<(String, String)> {
-        let mut params = Vec::new();
-        self.bump(); // `(`
-        while !self.at_end() && !self.at_punct(")") {
-            let start = self.pos;
-            let mut colon: Option<usize> = None;
-            let mut d = 0i32;
-            while !self.at_end() {
-                match self.tok(0) {
-                    Some(Tok::Punct("(" | "[" | "{")) => {
-                        d += 1;
-                        self.bump();
-                    }
-                    Some(Tok::Punct(")" | "]" | "}")) => {
-                        if d == 0 {
-                            break;
-                        }
-                        d -= 1;
-                        self.bump();
-                    }
-                    Some(Tok::Punct("<")) => self.skip_angles(),
-                    Some(Tok::Punct(",")) if d == 0 => break,
-                    Some(Tok::Punct(":")) if d == 0 && colon.is_none() => {
-                        colon = Some(self.pos);
-                        self.bump();
-                    }
-                    Some(_) => self.bump(),
-                    None => break,
-                }
-            }
-            let (pat, ty) = match colon {
-                Some(c) => (self.slice_text(start, c), self.slice_text(c + 1, self.pos)),
-                None => (self.slice_text(start, self.pos), String::new()),
-            };
-            if !pat.is_empty() {
-                params.push((pat, ty));
-            }
-            if !self.eat_punct(",") {
-                break;
-            }
-        }
-        self.eat_punct(")");
-        params
     }
 
     fn parse_impl(&mut self) -> Item {
@@ -1535,13 +1477,10 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_if(&mut self, depth: u32) -> ExprKind {
-        let pat = if self.eat_ident("let") {
-            let p = self.skip_pattern_until_eq();
+        if self.eat_ident("let") {
+            self.skip_pattern_until_eq();
             self.eat_punct("=");
-            Some(p)
-        } else {
-            None
-        };
+        }
         let cond = self.parse_expr(depth + 1, true);
         let then = if self.eat_punct("{") {
             self.parse_block_body()
@@ -1569,7 +1508,6 @@ impl<'a> Parser<'a> {
             None
         };
         ExprKind::If {
-            pat,
             cond: Box::new(cond),
             then,
             els,
@@ -1623,8 +1561,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Inside `if let` / `while let`: skip the pattern up to the `=`,
-    /// returning its text (the interval prover must see the bindings it
-    /// introduces, or a shadowed name could keep a stale range).
+    /// returning its text (loop-complexity reads `while let` bindings).
     fn skip_pattern_until_eq(&mut self) -> String {
         let start = self.pos;
         let mut d = 0i32;

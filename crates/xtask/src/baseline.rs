@@ -1,9 +1,10 @@
-//! The baseline ratchets (panic-freedom and cast-audit).
+//! The baseline ratchets (panic-freedom and the interprocedural and
+//! performance-semantic censuses that share its file format).
 //!
-//! The seed codebase predates both invariants, so it carries a known set of
-//! `.unwrap()`/indexing sites and raw numeric casts. Rather than waiving
-//! them one by one, their per-file-per-category counts are checked in here
-//! and compared exactly on every run: a count above its baseline entry is a
+//! The seed codebase predates the panic-freedom invariant, so it carries a
+//! known set of `.unwrap()`/indexing sites. Rather than waiving them one by
+//! one, their per-file-per-category counts are checked in here and
+//! compared exactly on every run: a count above its baseline entry is a
 //! regression, a count below it is a *stale* baseline (the ratchet must be
 //! tightened with `cargo xtask check --update-baseline` so the improvement
 //! can never be silently given back). New files start at an implicit
@@ -15,9 +16,6 @@ use std::path::Path;
 /// Location of the panic-freedom ratchet file, relative to the workspace
 /// root.
 pub const BASELINE_PATH: &str = "crates/xtask/panic-baseline.txt";
-
-/// Location of the cast-audit ratchet file, relative to the workspace root.
-pub const CAST_BASELINE_PATH: &str = "crates/xtask/cast-baseline.txt";
 
 /// Location of the panic-reachability ratchet file (panic sites reachable
 /// from the engine hot path), relative to the workspace root.
@@ -50,13 +48,6 @@ const PANIC_HEADER: &str =
      # in non-test library code. Maintained by `cargo xtask check --update-baseline`.\n\
      # The ratchet only goes down: raising a count requires editing this file by\n\
      # hand in the same change that justifies the new panic site.\n";
-
-const CAST_HEADER: &str =
-    "# cast-audit baseline: per-file counts of potentially lossy numeric `as`\n\
-     # casts in non-test library code, categorised by target type. Maintained by\n\
-     # `cargo xtask check --update-baseline`. The ratchet only goes down: new raw\n\
-     # casts must go through core::convert (or carry an `xtask-allow: cast-audit`\n\
-     # waiver) instead of raising a count here.\n";
 
 const PANIC_REACH_HEADER: &str =
     "# panic-reachability baseline: per-file counts of panic sites inside\n\
@@ -111,7 +102,6 @@ const LOOP_HEADER: &str =
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ratchet {
     PanicFreedom,
-    CastAudit,
     PanicReach,
     DeadApi,
     DeterminismTaint,
@@ -125,7 +115,6 @@ impl Ratchet {
     pub fn path(self) -> &'static str {
         match self {
             Ratchet::PanicFreedom => BASELINE_PATH,
-            Ratchet::CastAudit => CAST_BASELINE_PATH,
             Ratchet::PanicReach => PANIC_REACH_BASELINE_PATH,
             Ratchet::DeadApi => DEAD_API_BASELINE_PATH,
             Ratchet::DeterminismTaint => DETERMINISM_EXEMPTIONS_PATH,
@@ -144,7 +133,6 @@ impl Ratchet {
     fn header(self) -> &'static str {
         match self {
             Ratchet::PanicFreedom => PANIC_HEADER,
-            Ratchet::CastAudit => CAST_HEADER,
             Ratchet::PanicReach => PANIC_REACH_HEADER,
             Ratchet::DeadApi => DEAD_API_HEADER,
             Ratchet::DeterminismTaint => DETERMINISM_EXEMPTIONS_HEADER,
@@ -299,7 +287,6 @@ mod tests {
         ]);
         for ratchet in [
             Ratchet::PanicFreedom,
-            Ratchet::CastAudit,
             Ratchet::PanicReach,
             Ratchet::DeadApi,
             Ratchet::DeterminismTaint,

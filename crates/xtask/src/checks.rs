@@ -28,19 +28,18 @@ impl Finding {
 }
 
 /// Names of the checks as used on the command line and in waiver comments.
-/// The first five are the token-window checks in this module; the next four
+/// The first five are the token-window checks in this module; the next three
 /// are the AST-based families in [`crate::semantic`]; the next four are the
 /// interprocedural checks in [`crate::interproc`], which run over the
-/// workspace call graph rather than one file at a time; the last three are
-/// the performance-semantics layer ([`crate::interval`] and
-/// [`crate::perfsem`]) built on the same workspace table.
-pub const CHECK_NAMES: [&str; 16] = [
+/// workspace call graph rather than one file at a time; the last two are
+/// the performance-semantics layer ([`crate::perfsem`]) built on the same
+/// workspace table.
+pub const CHECK_NAMES: [&str; 14] = [
     "panic-freedom",
     "newtype",
     "dispatch",
     "float-cmp",
     "determinism",
-    "cast-audit",
     "ignored-result",
     "unit-safety",
     "par-determinism",
@@ -48,7 +47,6 @@ pub const CHECK_NAMES: [&str; 16] = [
     "changelog-completeness",
     "panic-reachability",
     "dead-api",
-    "cast-proof",
     "alloc-hot-path",
     "loop-complexity",
 ];

@@ -40,7 +40,7 @@ impl RatchetFindings {
     }
 }
 
-/// Check 10 — **determinism-taint**: no function reachable from the engine
+/// Check 9 — **determinism-taint**: no function reachable from the engine
 /// entry points may contain a nondeterminism source. Findings are keyed
 /// `(file, <category>.<function>)` and compared against the hand-audited
 /// exemption file, so every tolerated source carries a written
@@ -74,7 +74,7 @@ pub fn determinism_taint(
     out
 }
 
-/// Check 11 — **changelog-completeness**, part one: every function in
+/// Check 10 — **changelog-completeness**, part one: every function in
 /// `vfs.rs` that structurally mutates the trie must also emit a changelog
 /// delta on some path — locally, or through a callee (`remove_subtree`
 /// routes per-victim removals through `remove_id`). Returns hard
@@ -115,7 +115,7 @@ pub fn changelog_completeness(
     out
 }
 
-/// Check 11, part two — the **emit census**: per-variant counts of every
+/// Check 10, part two — the **emit census**: per-variant counts of every
 /// `Delta` construction in `vfs.rs`, ratcheted both ways. Deleting any
 /// single emit call (even one of two on different branches of the same
 /// function, which reachability alone cannot see) changes a count and
@@ -143,7 +143,7 @@ pub fn changelog_emit_census(
     out
 }
 
-/// Check 12 — **panic-reachability**: panic sites inside functions
+/// Check 11 — **panic-reachability**: panic sites inside functions
 /// reachable from the engine entry points, counted per file and category
 /// against their own ratchet baseline. The file-local panic ratchet bounds
 /// the whole library; this one bounds the subset a production replay can
@@ -176,7 +176,7 @@ pub fn panic_reachability(
     out
 }
 
-/// Check 13 — **dead-api**: `pub fn`s in the library crates that nothing in
+/// Check 12 — **dead-api**: `pub fn`s in the library crates that nothing in
 /// the workspace references. A function is *used* when its name occurs
 /// anywhere (calls, paths, re-exports, tests, examples, benches) beyond its
 /// own `fn` definitions — name-based reference reachability layered over

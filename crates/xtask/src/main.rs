@@ -11,8 +11,8 @@ Usage: cargo xtask <command>
 Commands:
   check                 run all invariant checks
     --update-baseline   rewrite the machine-maintained ratchet files
-                        (panic-freedom, cast-audit, panic-reachability,
-                        dead-api, changelog census, alloc-hot-path,
+                        (panic-freedom, panic-reachability, dead-api,
+                        changelog census, alloc-hot-path,
                         loop-complexity; the hand-audited
                         determinism-exemptions.txt is never rewritten)
     --only <names>      comma-separated subset of checks to run
@@ -22,9 +22,6 @@ Commands:
                         line, message), one per line, instead of the
                         human-readable report
     --timings           print a per-phase wall-time table after the report
-    --explain-cast <file:line>
-                        print the interval prover's derived operand range
-                        for every numeric cast at that site
                         Environment: XTASK_THREADS caps the worker pool;
                         XTASK_CHECK_BUDGET_SECS fails the run if it takes
                         longer than the given wall-time budget; GitHub
@@ -55,9 +52,13 @@ Commands:
   help                  show this message
 
 Checks: panic-freedom, newtype, dispatch, float-cmp, determinism,
-        cast-audit, ignored-result, unit-safety, par-determinism,
+        ignored-result, unit-safety, par-determinism,
         determinism-taint, changelog-completeness, panic-reachability,
-        dead-api, cast-proof, alloc-hot-path, loop-complexity
+        dead-api, alloc-hot-path, loop-complexity
+
+Numeric casts are checked by clippy, not here: the root Cargo.toml's
+[workspace.lints.clippy] denies every lossy `as` cast outside
+crates/core/src/convert.rs.
 
 CI runs `check --json` on every push (32-seed fuzz); the scheduled /
 XTASK_DEEP=1 deep pass adds a 256-seed fuzz run.
@@ -384,13 +385,6 @@ fn main() -> ExitCode {
                 }
                 return ExitCode::SUCCESS;
             }
-            "--explain-cast" => match it.next() {
-                Some(site) => cfg.explain_cast = Some(site.clone()),
-                None => {
-                    eprintln!("--explain-cast needs a <file>:<line> site\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--only" => match it.next() {
                 Some(names) => {
                     cfg.only = Some(names.split(',').map(|s| s.trim().to_string()).collect());

@@ -1,11 +1,9 @@
-//! The performance-semantics checks (15 and 16): hot-path allocation
+//! The performance-semantics checks (13 and 14): hot-path allocation
 //! census and loop-complexity detection.
 //!
 //! Both run over the same stack as [`crate::interproc`] — workspace table,
 //! call graph, per-function facts — and return [`RatchetFindings`] for the
 //! runner to compare against `alloc-baseline.txt` / `loop-baseline.txt`.
-//! (Check 14, cast-proof, lives in [`crate::interval`]: it *discharges*
-//! findings from an existing ratchet instead of producing its own.)
 //!
 //! **alloc-hot-path** mirrors panic-reachability: every allocation fact in
 //! a function reachable from the engine entry points is counted per file
@@ -50,7 +48,7 @@ use crate::dataflow::{expr_text, rooted_in_field, FnFacts};
 use crate::interproc::RatchetFindings;
 use crate::resolve::{FnDef, Workspace};
 
-/// Check 15 — **alloc-hot-path**: allocation sites inside functions
+/// Check 13 — **alloc-hot-path**: allocation sites inside functions
 /// reachable from the engine entry points, counted per file and category
 /// against `alloc-baseline.txt`.
 pub fn alloc_hot_path(
@@ -81,7 +79,7 @@ pub fn alloc_hot_path(
     out
 }
 
-/// Check 16 — **loop-complexity**: loop-carried superlinear shapes in the
+/// Check 14 — **loop-complexity**: loop-carried superlinear shapes in the
 /// library crates, counted per file and category against
 /// `loop-baseline.txt`.
 pub fn loop_complexity(

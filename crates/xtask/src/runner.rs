@@ -9,9 +9,7 @@
 //! symbol table ([`crate::resolve`]), call graph ([`crate::callgraph`]),
 //! per-function dataflow facts ([`crate::dataflow`]) — and runs the four
 //! workspace-level checks ([`crate::interproc`]). Pass 4 is the
-//! performance-semantics layer over the same symbol table: the interval
-//! cast prover ([`crate::interval`]), which *discharges* proven-lossless
-//! sites from the cast ratchet before it is compared, and the
+//! performance-semantics layer over the same symbol table: the
 //! alloc-hot-path / loop-complexity checks ([`crate::perfsem`]) with their
 //! own ratchets. Thread count follows `XTASK_THREADS` (default: available
 //! parallelism); all output is byte-identical across thread counts.
@@ -24,7 +22,6 @@ use crate::baseline::{self, BaselineIssue, Counts, Ratchet};
 use crate::callgraph::CallGraph;
 use crate::checks::{self, Finding};
 use crate::interproc;
-use crate::interval::{self, render_ivl};
 use crate::lexer::{Tok, Token};
 use crate::perfsem;
 use crate::resolve::Workspace;
@@ -66,10 +63,6 @@ const DISPATCH_ENUMS: &[(&str, &str)] = &[
 /// The one module where exact float comparison is allowed (and documented).
 const FLOAT_HOME: &str = "crates/core/src/approx.rs";
 
-/// The module that exists to hold the workspace's numeric conversions: raw
-/// `as` casts are its implementation technique, so cast-audit skips it.
-const CAST_HOME: &str = "crates/core/src/convert.rs";
-
 /// Modules that define the unit-bearing types and conversions: raw
 /// second/day/byte arithmetic is their whole point, so unit-safety skips
 /// them.
@@ -82,7 +75,6 @@ const UNIT_HOMES: &[&str] = &["crates/core/src/time.rs", "crates/core/src/conver
 const HOT_PATH_ENTRIES: &[(&str, &str)] = &[
     ("crates/sim/src/engine.rs", "run"),
     ("crates/sim/src/engine.rs", "run_until"),
-    ("crates/sim/src/engine.rs", "run_observed"),
     ("crates/sim/src/engine.rs", "run_instrumented"),
     ("crates/sim/src/engine.rs", "run_with_telemetry"),
     ("crates/sim/src/engine.rs", "run_engine"),
@@ -100,26 +92,20 @@ const INTERPROC_CHECKS: &[&str] = &[
     "dead-api",
 ];
 
-/// The three performance-semantics checks (pass 4). `cast-audit` implies
-/// `cast-proof`: the ratchet the prover discharges into is cast-audit's,
-/// so running one without the other would make the cast baseline depend on
-/// the `--only` selection.
-const PERFSEM_CHECKS: &[&str] = &["cast-proof", "alloc-hot-path", "loop-complexity"];
+/// The two performance-semantics checks (pass 4).
+const PERFSEM_CHECKS: &[&str] = &["alloc-hot-path", "loop-complexity"];
 
 /// How to invoke a run.
 #[derive(Debug, Default)]
 pub struct Config {
     /// Workspace root (the directory holding the top-level Cargo.toml).
     pub root: PathBuf,
-    /// Restrict to these check names; `None` runs all sixteen.
+    /// Restrict to these check names; `None` runs all fourteen.
     pub only: Option<Vec<String>>,
     /// Rewrite the machine-maintained ratchet files instead of comparing
     /// against them (the hand-audited determinism exemptions are never
     /// rewritten).
     pub update_baseline: bool,
-    /// `--explain-cast <file:line>`: print the interval prover's derived
-    /// operand range for every numeric cast at that site.
-    pub explain_cast: Option<String>,
     /// Include a per-phase wall-time table in the rendered report (opt-in:
     /// timings vary run to run, and the default output is byte-identical
     /// across thread counts).
@@ -150,11 +136,6 @@ pub struct Report {
     pub panic_counts: Counts,
     /// Every ratcheted panic site: `(file, category, line, message)`.
     pub panic_sites: Vec<Site>,
-    /// Current cast-audit counts (after waivers), keyed by
-    /// `(file, target type)`.
-    pub cast_counts: Counts,
-    /// Every ratcheted cast site: `(file, category, line, message)`.
-    pub cast_sites: Vec<Site>,
     /// Determinism-taint findings, keyed `(file, <category>.<function>)`,
     /// compared against the hand-audited exemption file.
     pub taint_counts: Counts,
@@ -175,11 +156,6 @@ pub struct Report {
     /// Loop-complexity findings, keyed `(file, shape category)`.
     pub loop_counts: Counts,
     pub loop_sites: Vec<Site>,
-    /// Cast sites the interval prover discharged from the cast ratchet
-    /// (they are *removed* from `cast_counts`/`cast_sites` first).
-    pub discharged_casts: Vec<Site>,
-    /// `--explain-cast` output lines, one per cast at the requested site.
-    pub cast_explanations: Vec<String>,
     /// Files scanned.
     pub files_scanned: usize,
     /// Set when `--update-baseline` rewrote the ratchet files.
@@ -208,12 +184,7 @@ impl Report {
                 v.check, v.message, v.file, v.line
             ));
         }
-        for e in &self.cast_explanations {
-            out.push_str(e);
-            out.push('\n');
-        }
         let panic_total: u32 = self.panic_counts.values().sum();
-        let cast_total: u32 = self.cast_counts.values().sum();
         let reach_total: u32 = self.reach_counts.values().sum();
         let taint_total: u32 = self.taint_counts.values().sum();
         let dead_total: u32 = self.dead_counts.values().sum();
@@ -221,8 +192,8 @@ impl Report {
         let loop_total: u32 = self.loop_counts.values().sum();
         out.push_str(&format!(
             "xtask check: {} files scanned in {} ms, {} error(s), {} waived finding(s), \
-             {} ratcheted panic site(s) ({} on the hot path), {} ratcheted cast site(s) \
-             ({} discharged by the prover), {} audited nondeterminism source(s), \
+             {} ratcheted panic site(s) ({} on the hot path), \
+             {} audited nondeterminism source(s), \
              {} baselined dead pub fn(s), {} hot-path alloc site(s), \
              {} loop-complexity site(s)\n",
             self.files_scanned,
@@ -231,8 +202,6 @@ impl Report {
             self.waived.len(),
             panic_total,
             reach_total,
-            cast_total,
-            self.discharged_casts.len(),
             taint_total,
             dead_total,
             alloc_total,
@@ -240,9 +209,8 @@ impl Report {
         ));
         if self.baseline_updated {
             out.push_str(&format!(
-                "baselines rewritten: {}, {}, {}, {}, {}, {}, {}\n",
+                "baselines rewritten: {}, {}, {}, {}, {}, {}\n",
                 baseline::BASELINE_PATH,
-                baseline::CAST_BASELINE_PATH,
                 baseline::PANIC_REACH_BASELINE_PATH,
                 baseline::DEAD_API_BASELINE_PATH,
                 baseline::CHANGELOG_BASELINE_PATH,
@@ -403,7 +371,6 @@ struct FileFindings {
     errors: Vec<Violation>,
     waived: Vec<Violation>,
     panic: Vec<Site>,
-    cast: Vec<Site>,
 }
 
 /// Run the configured checks over the workspace at `cfg.root`.
@@ -424,19 +391,6 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
             }
         }
     }
-    let explain_site: Option<(String, u32)> = match &cfg.explain_cast {
-        Some(spec) => {
-            let (file, line) = spec
-                .rsplit_once(':')
-                .ok_or_else(|| format!("--explain-cast {spec:?}: expected <file>:<line>"))?;
-            let line: u32 = line
-                .parse()
-                .map_err(|_| format!("--explain-cast {spec:?}: bad line number {line:?}"))?;
-            Some((file.replace('\\', "/"), line))
-        }
-        None => None,
-    };
-
     let mut report = Report {
         show_timings: cfg.timings,
         ..Report::default()
@@ -536,7 +490,7 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
         }
     }
 
-    // Pass 2 (parallel): the nine file-local checks, merged in file order.
+    // Pass 2 (parallel): the eight file-local checks, merged in file order.
     let checked: Vec<&FileData> = files.iter().filter(|d| !d.usage_only).collect();
     report.files_scanned = checked.len();
     let threads = num_threads(checked.len());
@@ -579,23 +533,12 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
                 .or_insert(0) += 1;
             report.panic_sites.push((file, cat, line, msg));
         }
-        for (file, cat, line, msg) in f.cast {
-            *report
-                .cast_counts
-                .entry((file.clone(), cat.clone()))
-                .or_insert(0) += 1;
-            report.cast_sites.push((file, cat, line, msg));
-        }
     }
     mark(&mut report, "file-local checks");
 
-    // Passes 3 and 4 share the workspace symbol table. `cast-audit`
-    // implies the cast prover: the ratchet it discharges into is
-    // cast-audit's, so the baseline must not depend on `--only`.
+    // Passes 3 and 4 share the workspace symbol table.
     let interproc_needed = INTERPROC_CHECKS.iter().any(|c| enabled(cfg, c));
-    let perfsem_needed = PERFSEM_CHECKS.iter().any(|c| enabled(cfg, c))
-        || enabled(cfg, "cast-audit")
-        || explain_site.is_some();
+    let perfsem_needed = PERFSEM_CHECKS.iter().any(|c| enabled(cfg, c));
     if interproc_needed || perfsem_needed {
         let ast_files: Vec<(String, ast::File)> = files
             .iter_mut()
@@ -605,7 +548,6 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
         let mut ws = Workspace::build(&ast_files);
         for d in files.iter().filter(|d| !d.usage_only) {
             ws.scan_hash_decls(&d.tokens);
-            ws.scan_struct_decls(&d.tokens);
         }
         let graph = CallGraph::build(&ws);
         let facts = dataflow::compute(&ws);
@@ -660,16 +602,11 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
             report.loop_sites = got.sites;
             mark(&mut report, "loop-complexity");
         }
-        if enabled(cfg, "cast-audit") || enabled(cfg, "cast-proof") || explain_site.is_some() {
-            discharge_proven_casts(&ws, &lib_files, explain_site.as_ref(), &mut report);
-            mark(&mut report, "cast-proof");
-        }
     }
 
     // Baselines: compare or rewrite each ratchet.
-    let ratchets: [(&str, Ratchet); 8] = [
+    let ratchets: [(&str, Ratchet); 7] = [
         ("panic-freedom", Ratchet::PanicFreedom),
-        ("cast-audit", Ratchet::CastAudit),
         ("panic-reachability", Ratchet::PanicReach),
         ("dead-api", Ratchet::DeadApi),
         ("determinism-taint", Ratchet::DeterminismTaint),
@@ -683,7 +620,6 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
         }
         let (counts, sites) = match ratchet {
             Ratchet::PanicFreedom => (&report.panic_counts, &report.panic_sites),
-            Ratchet::CastAudit => (&report.cast_counts, &report.cast_sites),
             Ratchet::PanicReach => (&report.reach_counts, &report.reach_sites),
             Ratchet::DeadApi => (&report.dead_counts, &report.dead_sites),
             Ratchet::DeterminismTaint => (&report.taint_counts, &report.taint_sites),
@@ -759,79 +695,7 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
     Ok(report)
 }
 
-/// Pass 4, check 14 — run the interval prover over every library function
-/// (the conversions module excepted, matching cast-audit's scope), remove
-/// each proven-lossless cast from the ratchet counts/sites, and collect
-/// `--explain-cast` lines for the requested site.
-fn discharge_proven_casts(
-    ws: &Workspace<'_>,
-    lib_files: &BTreeSet<String>,
-    explain: Option<&(String, u32)>,
-    report: &mut Report,
-) {
-    let mut proven: Vec<(String, u32, String)> = Vec::new();
-    for (id, def) in ws.fns.iter().enumerate() {
-        if !lib_files.contains(def.path) || def.path == CAST_HOME {
-            continue;
-        }
-        for proof in interval::prove_fn(ws, id) {
-            if let Some((efile, eline)) = explain {
-                if def.path == efile && proof.line == *eline {
-                    report.cast_explanations.push(format!(
-                        "cast to `{}` at {}:{} in `{}`: operand range {}, {}",
-                        proof.target,
-                        def.path,
-                        proof.line,
-                        def.item.name,
-                        render_ivl(proof.ivl),
-                        if proof.proven {
-                            "PROVEN lossless (discharged from the cast ratchet)"
-                        } else {
-                            "not provable (stays on the cast ratchet)"
-                        }
-                    ));
-                }
-            }
-            if proof.proven {
-                proven.push((def.path.to_string(), proof.line, proof.target.to_string()));
-            }
-        }
-    }
-    // Multiset subtraction: each proof discharges at most one audited
-    // site (casts the audit already considers lossless, or waived sites,
-    // have no entry to remove and are skipped).
-    for (file, line, target) in proven {
-        let Some(pos) = report
-            .cast_sites
-            .iter()
-            .position(|(f, c, l, _)| *f == file && *c == target && *l == line)
-        else {
-            continue;
-        };
-        let site = report.cast_sites.remove(pos);
-        if let Some(n) = report
-            .cast_counts
-            .get_mut(&(site.0.clone(), site.1.clone()))
-        {
-            *n = n.saturating_sub(1);
-            if *n == 0 {
-                report.cast_counts.remove(&(site.0.clone(), site.1.clone()));
-            }
-        }
-        report.discharged_casts.push(site);
-    }
-    report.discharged_casts.sort();
-    if let Some((efile, eline)) = explain {
-        if report.cast_explanations.is_empty() {
-            report.cast_explanations.push(format!(
-                "no numeric cast found at {efile}:{eline} (the prover only sees casts \
-                 inside function bodies of the library crates, outside {CAST_HOME})"
-            ));
-        }
-    }
-}
-
-/// Pass 2 body: the nine file-local checks plus waiver accounting for one
+/// Pass 2 body: the eight file-local checks plus waiver accounting for one
 /// file. Pure function of the parsed file, so it parallelises freely.
 fn check_file(
     cfg: &Config,
@@ -868,9 +732,6 @@ fn check_file(
     }
     if enabled(cfg, "determinism") {
         findings.push(("determinism", checks::check_determinism(tokens)));
-    }
-    if enabled(cfg, "cast-audit") && in_lib && file != CAST_HOME {
-        findings.push(("cast-audit", semantic::check_cast_audit(file_ast)));
     }
     if enabled(cfg, "ignored-result") && in_lib {
         findings.push((
@@ -910,11 +771,6 @@ fn check_file(
                 // Ratcheted, not individually fatal: count it, and keep
                 // the site so baseline regressions can be pinpointed.
                 out.panic
-                    .push((file.clone(), f.category.to_string(), f.line, f.message));
-            } else if check == "cast-audit" {
-                // The second ratchet: pre-existing raw casts are carried
-                // in cast-baseline.txt, new ones are regressions.
-                out.cast
                     .push((file.clone(), f.category.to_string(), f.line, f.message));
             } else {
                 out.errors.push(v);

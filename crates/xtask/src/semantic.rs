@@ -1,11 +1,8 @@
-//! The four AST-based check families (semantic analysis v2).
+//! The three AST-based check families (semantic analysis v2).
 //!
 //! These checks reason about expressions, which the token-window checks in
 //! [`crate::checks`] cannot:
 //!
-//! * **cast-audit** — every potentially lossy numeric `as` cast is a
-//!   finding, categorised by target type and ratcheted per file against
-//!   `crates/xtask/cast-baseline.txt`.
 //! * **ignored-result** — `let _ = …` and bare `…;` statements that discard
 //!   the value of a `Result`-returning or `#[must_use]` function.
 //! * **unit-safety** — arithmetic or comparison mixing values of different
@@ -123,140 +120,7 @@ fn returns_result(ret: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// 6. cast-audit
-// ---------------------------------------------------------------------------
-
-/// The closed set of numeric cast targets; returning `&'static str` lets the
-/// target type double as the baseline category. Shared with the interval
-/// prover ([`crate::interval`]), which discharges the provable subset.
-pub(crate) fn numeric_target(ty: &str) -> Option<&'static str> {
-    Some(match ty {
-        "u8" => "u8",
-        "u16" => "u16",
-        "u32" => "u32",
-        "u64" => "u64",
-        "u128" => "u128",
-        "usize" => "usize",
-        "i8" => "i8",
-        "i16" => "i16",
-        "i32" => "i32",
-        "i64" => "i64",
-        "i128" => "i128",
-        "isize" => "isize",
-        "f32" => "f32",
-        "f64" => "f64",
-        _ => return None,
-    })
-}
-
-/// Parse an integer literal's value (underscores stripped, radix prefixes
-/// honoured, type suffix ignored). `None` for anything unparseable.
-pub(crate) fn int_literal_value(text: &str) -> Option<u128> {
-    let t: String = text.chars().filter(|c| *c != '_').collect();
-    let (radix, digits) = if let Some(rest) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X"))
-    {
-        (16u32, rest)
-    } else if let Some(rest) = t.strip_prefix("0o").or_else(|| t.strip_prefix("0O")) {
-        (8, rest)
-    } else if let Some(rest) = t.strip_prefix("0b").or_else(|| t.strip_prefix("0B")) {
-        (2, rest)
-    } else {
-        (10, t.as_str())
-    };
-    // Cut the type suffix: the first char that is not a digit of the radix.
-    let end = digits
-        .char_indices()
-        .find(|(_, c)| !c.is_digit(radix))
-        .map_or(digits.len(), |(i, _)| i);
-    let digits = digits.get(..end).unwrap_or("");
-    if digits.is_empty() {
-        return None;
-    }
-    u128::from_str_radix(digits, radix).ok()
-}
-
-/// Does the literal value `v` (negated when `neg`) convert exactly into
-/// `target`? `usize`/`isize` are treated as 64-bit — this workspace only
-/// targets 64-bit platforms.
-fn literal_fits(v: u128, neg: bool, target: &str) -> bool {
-    // Exactly-representable integer bound for the float targets.
-    const F64_EXACT: u128 = 1 << 53;
-    const F32_EXACT: u128 = 1 << 24;
-    let unsigned_max: u128 = match target {
-        "u8" => u128::from(u8::MAX),
-        "u16" => u128::from(u16::MAX),
-        "u32" => u128::from(u32::MAX),
-        "u64" | "usize" => u128::from(u64::MAX),
-        "u128" => u128::MAX,
-        _ => 0,
-    };
-    match target {
-        "f64" => v <= F64_EXACT,
-        "f32" => v <= F32_EXACT,
-        "i8" | "i16" | "i32" | "i64" | "i128" | "isize" => {
-            let max: u128 = match target {
-                "i8" => i8::MAX as u128,
-                "i16" => i16::MAX as u128,
-                "i32" => i32::MAX as u128,
-                "i64" | "isize" => i64::MAX as u128,
-                _ => i128::MAX as u128,
-            };
-            if neg {
-                v <= max + 1 // |i::MIN| = i::MAX + 1
-            } else {
-                v <= max
-            }
-        }
-        _ => !neg && v <= unsigned_max,
-    }
-}
-
-/// Is this cast provably lossless from the operand's syntax alone?
-fn cast_is_lossless(operand: &Expr, target: &str) -> bool {
-    match &operand.kind {
-        ExprKind::Int(text) => {
-            int_literal_value(text).is_some_and(|v| literal_fits(v, false, target))
-        }
-        ExprKind::Unary { op: "-", operand } => match &operand.kind {
-            ExprKind::Int(text) => {
-                int_literal_value(text).is_some_and(|v| literal_fits(v, true, target))
-            }
-            _ => false,
-        },
-        // Float literals default to f64; a cast to f64 is the identity.
-        ExprKind::Float(_) => target == "f64",
-        // char -> u32 and wider is defined lossless; bool -> any int is 0/1.
-        ExprKind::Char => matches!(target, "u32" | "u64" | "u128" | "i64" | "i128"),
-        ExprKind::Bool(_) => !matches!(target, "f32" | "f64"),
-        _ => false,
-    }
-}
-
-/// Every potentially lossy numeric `as` cast. The category is the target
-/// type, so the ratchet file reads `3 f64 crates/sim/src/report.rs`.
-pub fn check_cast_audit(file: &File) -> Vec<Finding> {
-    let mut out = Vec::new();
-    visit::visit_file(file, &mut |e| {
-        if let ExprKind::Cast { operand, ty } = &e.kind {
-            if let Some(target) = numeric_target(ty) {
-                if !cast_is_lossless(operand, target) {
-                    out.push(Finding {
-                        line: e.line,
-                        category: target,
-                        message: format!(
-                            "raw `as {target}` cast (possible truncation/precision loss); \
-                             use the typed ops or core::convert helpers"
-                        ),
-                    });
-                }
-            }
-        }
-    });
-    out
-}
-
-// ---------------------------------------------------------------------------
-// 7. ignored-result
+// 6. ignored-result
 // ---------------------------------------------------------------------------
 
 /// The function name a discarded expression resolves to, if its outermost
@@ -335,7 +199,7 @@ pub fn check_ignored_result(file: &File, sigs: &Signatures) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------------
-// 8. unit-safety
+// 7. unit-safety
 // ---------------------------------------------------------------------------
 
 /// The unit a syntactic expression provably carries, if any.
@@ -492,7 +356,7 @@ pub fn check_unit_safety(file: &File) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------------
-// 9. par-determinism
+// 8. par-determinism
 // ---------------------------------------------------------------------------
 
 /// Methods that introduce a rayon parallel iterator.
@@ -652,45 +516,6 @@ mod tests {
 
     fn file(src: &str) -> File {
         parse_file(&strip_test_regions(lex(src).tokens))
-    }
-
-    fn cast_findings(src: &str) -> Vec<Finding> {
-        check_cast_audit(&file(src))
-    }
-
-    #[test]
-    fn lossy_casts_are_findings_lossless_literals_are_not() {
-        assert_eq!(cast_findings("fn f(n: usize) -> f64 { n as f64 }").len(), 1);
-        assert!(cast_findings("fn f() -> f64 { 7 as f64 }").is_empty());
-        assert!(cast_findings("fn f() -> i64 { -1 as i64 }").is_empty());
-        assert!(cast_findings("fn f() -> u8 { 255 as u8 }").is_empty());
-        assert_eq!(cast_findings("fn f() -> u8 { 256 as u8 }").len(), 1);
-        // 2^53 + 1 is not exactly representable in f64.
-        assert_eq!(
-            cast_findings("fn f() -> f64 { 9007199254740993 as f64 }").len(),
-            1
-        );
-        // Non-numeric target types are out of scope.
-        assert!(cast_findings("fn f(x: u8) -> Level { x as Level }").is_empty());
-    }
-
-    #[test]
-    fn cast_category_is_target_type() {
-        let f = cast_findings("fn f(n: i64) -> usize { n as usize }");
-        assert_eq!(f.first().map(|f| f.category), Some("usize"));
-    }
-
-    #[test]
-    fn casts_inside_macros_and_closures_are_audited() {
-        assert_eq!(
-            cast_findings("fn f(n: usize) { println!(\"{}\", n as u64); }").len(),
-            1
-        );
-        assert_eq!(
-            cast_findings("fn f(v: &[i64]) -> Vec<f64> { v.iter().map(|x| *x as f64).collect() }")
-                .len(),
-            1
-        );
     }
 
     fn sigs_for(src: &str) -> Signatures {

@@ -1,12 +1,12 @@
-//! Fixture-driven tests for the nine checks.
+//! Fixture-driven tests for the eight file-local checks.
 //!
 //! Each file under `fixtures/` annotates every line that must be flagged with
-//! a trailing `//~ <check>` marker (`//~ panic-freedom:<category>` and
-//! `//~ cast-audit:<target>` for the ratcheted checks; several markers may
-//! share one `//~` when a line trips more than one check). The harness runs
-//! *all* checks — token-window and AST-based — over each fixture and requires
-//! the produced findings to equal the markers exactly, so a fixture both
-//! proves its check fires and proves the other eight stay silent on it.
+//! a trailing `//~ <check>` marker (`//~ panic-freedom:<category>` for the
+//! ratcheted check; several markers may share one `//~` when a line trips
+//! more than one check). The harness runs *all* checks — token-window and
+//! AST-based — over each fixture and requires the produced findings to equal
+//! the markers exactly, so a fixture both proves its check fires and proves
+//! the other seven stay silent on it.
 //!
 //! For `ignored-result` the signature table is built from the fixture itself
 //! (plus the std builtins), mirroring the runner's workspace-wide pass 1.
@@ -70,9 +70,6 @@ fn produced(src: &str) -> Vec<(u32, String)> {
     let file = ast::parse_file(&tokens);
     let mut sigs = semantic::Signatures::with_builtins();
     semantic::collect_signatures(&file, &mut sigs);
-    for f in semantic::check_cast_audit(&file) {
-        out.push((f.line, format!("cast-audit:{}", f.category)));
-    }
     for f in semantic::check_ignored_result(&file, &sigs) {
         out.push((f.line, "ignored-result".to_string()));
     }
@@ -127,11 +124,6 @@ fn float_cmp_fixture() {
 #[test]
 fn determinism_fixture() {
     assert_fixture("determinism.rs");
-}
-
-#[test]
-fn cast_audit_fixture() {
-    assert_fixture("cast_audit.rs");
 }
 
 #[test]

@@ -1,6 +1,6 @@
-//! End-to-end tests of the panic-freedom and cast-audit baseline ratchets
-//! and the waiver mechanism, run against throwaway miniature workspaces in
-//! a temp dir.
+//! End-to-end tests of the baseline ratchets (panic-freedom, plus dead-api
+//! as a second, independent one) and the waiver mechanism, run against
+//! throwaway miniature workspaces in a temp dir.
 
 #![allow(
     clippy::expect_used,
@@ -231,125 +231,6 @@ fn unknown_check_name_in_waiver_is_an_error() {
     let _ = fs::remove_dir_all(&root);
 }
 
-/// Write a lib.rs with `casts` many lossy `as` casts (and nothing that
-/// trips any other check). The operand is a full-range `u64` so the
-/// interval prover cannot discharge the sites.
-fn write_cast_lib(root: &Path, casts: usize) {
-    let mut body = String::from("fn f(n: u64) -> u32 {\n    let mut acc: u32 = 0;\n");
-    for _ in 0..casts {
-        body.push_str("    acc += n as u32;\n");
-    }
-    body.push_str("    acc\n}\n");
-    fs::write(root.join("crates/core/src/lib.rs"), body).expect("write fixture lib");
-}
-
-#[test]
-fn cast_missing_baseline_means_zero_allowance() {
-    let root = temp_root("cast-zero");
-    write_cast_lib(&root, 2);
-    let report = check(&root, false);
-    assert!(!report.is_clean());
-    assert_eq!(
-        report.errors.len(),
-        2,
-        "each cast site is pinpointed:\n{}",
-        report.render()
-    );
-    for e in &report.errors {
-        assert_eq!(e.check, "cast-audit");
-        assert_eq!(e.file, "crates/core/src/lib.rs");
-        assert!(e.line > 0, "regressions point at the offending line");
-        assert!(e.message.contains("baseline allows 0"), "{}", e.message);
-    }
-    let _ = fs::remove_dir_all(&root);
-}
-
-#[test]
-fn cast_update_baseline_then_clean() {
-    let root = temp_root("cast-update");
-    write_cast_lib(&root, 2);
-    let report = check(&root, true);
-    assert!(
-        report.baseline_updated && report.is_clean(),
-        "{}",
-        report.render()
-    );
-    let text =
-        fs::read_to_string(root.join("crates/xtask/cast-baseline.txt")).expect("baseline written");
-    assert!(text.contains("2 u32 crates/core/src/lib.rs"), "{text}");
-    assert!(check(&root, false).is_clean(), "baselined tree passes");
-    let _ = fs::remove_dir_all(&root);
-}
-
-#[test]
-fn cast_count_above_baseline_is_a_regression() {
-    let root = temp_root("cast-regress");
-    write_cast_lib(&root, 1);
-    check(&root, true);
-    write_cast_lib(&root, 3);
-    let report = check(&root, false);
-    assert!(!report.is_clean());
-    assert_eq!(
-        report.errors.len(),
-        3,
-        "all candidate sites are listed:\n{}",
-        report.render()
-    );
-    assert!(report
-        .errors
-        .iter()
-        .all(|e| e.check == "cast-audit" && e.message.contains("baseline allows 1")));
-    let _ = fs::remove_dir_all(&root);
-}
-
-#[test]
-fn cast_improvement_is_stale_until_locked_in() {
-    let root = temp_root("cast-stale");
-    write_cast_lib(&root, 2);
-    check(&root, true);
-    write_cast_lib(&root, 1);
-    let report = check(&root, false);
-    assert!(
-        !report.is_clean(),
-        "an unlocked improvement must fail the check"
-    );
-    assert_eq!(report.errors.len(), 1);
-    let err = report.errors.first().expect("one stale-baseline error");
-    assert!(
-        err.message.contains("lock in the improvement"),
-        "{}",
-        err.message
-    );
-    let report = check(&root, true);
-    assert!(report.baseline_updated && report.is_clean());
-    let text = fs::read_to_string(root.join("crates/xtask/cast-baseline.txt"))
-        .expect("baseline rewritten");
-    assert!(text.contains("1 u32 crates/core/src/lib.rs"), "{text}");
-    assert!(check(&root, false).is_clean());
-    let _ = fs::remove_dir_all(&root);
-}
-
-#[test]
-fn cast_waiver_silences_a_site_without_counting_it() {
-    let root = temp_root("cast-waiver");
-    fs::write(
-        root.join("crates/core/src/lib.rs"),
-        "fn f(n: usize) -> u64 {\n\
-         \x20   // xtask-allow: cast-audit -- fixture: bound checked by the caller\n\
-         \x20   n as u64\n\
-         }\n",
-    )
-    .expect("write fixture lib");
-    let report = check(&root, false);
-    assert!(report.is_clean(), "{}", report.render());
-    assert_eq!(report.waived.len(), 1);
-    assert!(
-        report.cast_counts.is_empty(),
-        "waived sites stay out of the ratchet"
-    );
-    let _ = fs::remove_dir_all(&root);
-}
-
 /// `--update-baseline` must be idempotent: running it twice on an
 /// unchanged tree rewrites every ratchet file byte-identically (sorted,
 /// deduplicated, zero-free — the render order is the BTreeMap key order,
@@ -359,8 +240,8 @@ fn update_baseline_twice_is_byte_identical() {
     let root = temp_root("idempotent");
     fs::write(
         root.join("crates/core/src/lib.rs"),
-        "fn f(o: Option<u32>, n: u64) -> u32 {\n\
-         \x20   o.unwrap() + o.expect(\"twice\") + n as u32\n\
+        "fn f(o: Option<u32>) -> u32 {\n\
+         \x20   o.unwrap() + o.expect(\"twice\")\n\
          }\n",
     )
     .expect("write fixture lib");
@@ -392,27 +273,33 @@ fn both_ratchets_operate_independently() {
     let root = temp_root("both");
     fs::write(
         root.join("crates/core/src/lib.rs"),
-        "fn f(o: Option<u32>, n: u64) -> u32 {\n\
-         \x20   o.unwrap() + n as u32\n\
+        "fn f(o: Option<u32>) -> u32 {\n\
+         \x20   o.unwrap()\n\
+         }\n\
+         pub fn unused_api() -> u32 {\n\
+         \x20   1\n\
          }\n",
     )
     .expect("write fixture lib");
     let report = check(&root, true);
     assert!(report.is_clean(), "{}", report.render());
     assert_eq!(report.panic_counts.len(), 1, "one unwrap entry");
-    assert_eq!(report.cast_counts.len(), 1, "one cast entry");
-    // Fixing only the cast leaves the panic baseline untouched but makes
-    // the cast baseline stale.
+    assert_eq!(report.dead_counts.len(), 1, "one dead pub fn entry");
+    // Demoting only the dead fn leaves the panic baseline untouched but
+    // makes the dead-api baseline stale.
     fs::write(
         root.join("crates/core/src/lib.rs"),
-        "fn f(o: Option<u32>, n: u32) -> u32 {\n\
-         \x20   o.unwrap() + n\n\
+        "fn f(o: Option<u32>) -> u32 {\n\
+         \x20   o.unwrap()\n\
+         }\n\
+         fn unused_api() -> u32 {\n\
+         \x20   1\n\
          }\n",
     )
     .expect("write fixture lib");
     let report = check(&root, false);
     assert_eq!(report.errors.len(), 1, "{}", report.render());
     let err = report.errors.first().expect("one stale entry");
-    assert_eq!(err.check, "cast-audit");
+    assert_eq!(err.check, "dead-api");
     let _ = fs::remove_dir_all(&root);
 }

@@ -1,8 +1,9 @@
 //! The checker must pass over the tree that ships it: `cargo xtask check`
-//! clean, the panic-freedom ratchet strictly below its pre-introduction
-//! level (18 `.unwrap()`/`.expect()` sites in non-test library code), and
-//! the cast-audit ratchet strictly below *its* pre-introduction level
-//! (186 raw `as` casts in non-test library code before `core::convert`).
+//! clean and the panic-freedom ratchet strictly below its pre-introduction
+//! level (18 `.unwrap()`/`.expect()` sites in non-test library code). The
+//! cast guarantee lives in clippy, not in the checker; this file also pins
+//! the lint configuration that carries it, so `cargo test` notices when the
+//! guarantee is weakened even where clippy is not run.
 
 #![allow(
     clippy::expect_used,
@@ -64,31 +65,98 @@ fn unwrap_expect_ratchet_is_below_pre_introduction_level() {
     );
 }
 
-#[test]
-fn cast_ratchet_is_below_pre_introduction_level() {
-    let cfg = Config {
-        root: workspace_root(),
-        only: Some(vec!["cast-audit".to_string()]),
-        update_baseline: false,
-        ..Config::default()
+/// The clippy cast lints that together deny every lossy numeric `as` cast
+/// (and route the lossless ones through `From`).
+const CAST_LINTS: [&str; 5] = [
+    "cast_possible_truncation",
+    "cast_possible_wrap",
+    "cast_sign_loss",
+    "cast_precision_loss",
+    "cast_lossless",
+];
+
+/// The one library file allowed to cast raw: the conversions module.
+const CAST_HOME: &str = "crates/core/src/convert.rs";
+
+/// Recursively collect `.rs` files under `dir`.
+fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
     };
-    let report = run(&cfg).expect("checker runs over the shipped tree");
-    let total: u32 = report.cast_counts.values().copied().sum();
+    for path in entries.flatten().map(|e| e.path()) {
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The lint list of every file-level `#![allow(…)]`/`#![expect(…)]`
+/// attribute in `src`.
+fn inner_lint_attrs(src: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    for opener in ["#![allow(", "#![expect("] {
+        let mut rest = src;
+        while let Some((_, tail)) = rest.split_once(opener) {
+            let (attr, after) = tail.split_once(")]").unwrap_or((tail, ""));
+            out.push(attr);
+            rest = after;
+        }
+    }
+    out
+}
+
+#[test]
+fn lossy_casts_are_denied_by_clippy_outside_convert() {
+    let root = workspace_root();
+    let manifest =
+        std::fs::read_to_string(root.join("Cargo.toml")).expect("root Cargo.toml is readable");
+    let section = manifest
+        .split("[workspace.lints.clippy]")
+        .nth(1)
+        .expect("root Cargo.toml has a [workspace.lints.clippy] table");
+    let section = section.split("\n[").next().unwrap_or(section);
+    let listed: Vec<&str> = section
+        .lines()
+        .filter_map(|l| l.split_once('='))
+        .map(|(key, _)| key.trim())
+        .collect();
+    for lint in CAST_LINTS {
+        assert!(
+            listed.contains(&lint),
+            "[workspace.lints.clippy] does not list `{lint}`"
+        );
+    }
+
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+        let krate = krate.expect("crates/ entry is readable").path();
+        rust_files(&krate.join("src"), &mut files);
+    }
+    assert!(files.len() > 50, "only {} library files found", files.len());
+    let mut offenders = Vec::new();
+    for path in files {
+        let rel = path
+            .strip_prefix(&root)
+            .unwrap_or(&path)
+            .to_string_lossy()
+            .replace('\\', "/");
+        if rel == CAST_HOME {
+            continue;
+        }
+        let src = std::fs::read_to_string(&path).expect("library source is readable");
+        if inner_lint_attrs(&src)
+            .iter()
+            .any(|attr| attr.contains("clippy::cast_"))
+        {
+            offenders.push(rel);
+        }
+    }
     assert!(
-        total < 186,
-        "{total} raw `as` casts in library code — the ratchet started at 186 \
-         and must only go down"
-    );
-    assert!(total > 0, "zero casts counted — cast discovery is broken");
-    // Layer 4 drove the ratchet to 40 or below (65 before the interval
-    // prover started discharging provable sites); it must stay there.
-    assert!(
-        total <= 40,
-        "{total} undischarged casts — the layer-4 target is 40"
-    );
-    assert!(
-        !report.discharged_casts.is_empty(),
-        "the interval prover discharged nothing — cast-proof is broken"
+        offenders.is_empty(),
+        "file-level clippy cast allows outside {CAST_HOME}: {offenders:?}; route the casts \
+         through activedr_core::convert or `From` instead"
     );
 }
 
@@ -102,7 +170,6 @@ fn checked_in_baselines_are_parse_render_fixed_points() {
     let root = workspace_root();
     for ratchet in [
         Ratchet::PanicFreedom,
-        Ratchet::CastAudit,
         Ratchet::PanicReach,
         Ratchet::DeadApi,
         Ratchet::ChangelogEmits,

@@ -74,7 +74,7 @@ fn main() {
         UserId(2),
         publication,
         Timestamp::from_days(100),
-        (30 + 1) as f64,
+        f64::from(30 + 1),
     ));
     evaluator.observe(ActivityEvent::new(
         UserId(2),

@@ -39,8 +39,9 @@
 )]
 #![allow(
     clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
     clippy::cast_precision_loss,
-    reason = "benchmark durations fit comfortably in the narrower types"
+    reason = "benchmark durations and fixture indices fit comfortably in the narrower types"
 )]
 
 use activedr_core::time::Timestamp;

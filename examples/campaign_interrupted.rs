@@ -54,7 +54,7 @@ fn main() {
         researcher,
         publication,
         Timestamp::from_days(60),
-        (12 + 1) as f64, // 12 citations, sole author (Eq. 8)
+        f64::from(12 + 1), // 12 citations, sole author (Eq. 8)
     )];
     let tc = Timestamp::from_days(100);
     let evaluator = ActivenessEvaluator::new(registry.clone(), ActivenessConfig::year_window(30));

@@ -52,7 +52,7 @@ fn fig6_fig7_fig8_share_one_pair_and_follow_the_paper() {
     // Fig. 7: cumulative misses grow over the year for both policies
     // (the paper's "uprising trend"), and ActiveDR totals stay at or
     // below FLT overall.
-    let fig7 = Fig7Data::from_pair(&pair, scenario.traces.replay_start_day as i64);
+    let fig7 = Fig7Data::from_pair(&pair, i64::from(scenario.traces.replay_start_day));
     let total =
         |series: &[Vec<u64>; 4]| -> u64 { (0..4).map(|q| *series[q].last().unwrap()).sum() };
     assert!(total(&fig7.adr_cumulative) <= total(&fig7.flt_cumulative));

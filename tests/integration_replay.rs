@@ -1,11 +1,7 @@
 //! Cross-crate integration: the full replay pipeline from synthetic trace
 //! generation through the virtual file system to the emulation engine.
 
-#![allow(
-    clippy::cast_possible_truncation,
-    reason = "values are bounded far below the narrow type's range at paper scale"
-)]
-
+use activedr_core::convert;
 use activedr_core::prelude::*;
 use activedr_sim::{build_initial_fs, pre_purge_flt, run, run_until, Scale, Scenario, SimConfig};
 use activedr_trace::{generate, AccessKind, SynthConfig};
@@ -27,8 +23,8 @@ fn end_to_end_flt_replay_counts_misses_deterministically() {
     assert!(a.total_reads() > 0);
     assert!(a.total_misses() <= a.total_reads());
     // Every daily record covers a day in the replay window.
-    let start = scenario.traces.replay_start_day as i64;
-    let end = scenario.traces.horizon_days as i64;
+    let start = i64::from(scenario.traces.replay_start_day);
+    let end = i64::from(scenario.traces.horizon_days);
     for d in &a.daily {
         assert!(d.day >= start && d.day < end);
     }
@@ -78,7 +74,7 @@ fn purging_creates_the_misses_flt_is_blamed_for() {
 #[test]
 fn run_until_is_a_prefix_of_the_full_run() {
     let scenario = Scenario::build(Scale::Tiny, 7);
-    let stop = scenario.traces.replay_start_day as i64 + 60;
+    let stop = i64::from(scenario.traces.replay_start_day) + 60;
     let (partial, fs_state) = run_until(
         &scenario.traces,
         scenario.initial_fs.clone(),
@@ -110,7 +106,7 @@ fn retention_events_report_consistent_quadrant_breakdowns() {
             .sum();
         assert_eq!(q_purged, event.purged_bytes);
         assert_eq!(
-            event.breakdown.total_users_affected() as usize,
+            convert::usize_from_u64(event.breakdown.total_users_affected()),
             event.users_affected
         );
     }

@@ -1,11 +1,7 @@
 //! Integration: snapshot and trace persistence across the full pipeline —
 //! capture mid-replay state, serialize, reload, and continue identically.
 
-#![allow(
-    clippy::cast_possible_truncation,
-    reason = "values are bounded far below the narrow type's range at paper scale"
-)]
-
+use activedr_core::convert;
 use activedr_core::prelude::*;
 use activedr_fs::{Snapshot, VirtualFs};
 use activedr_sim::{run_until, Scale, Scenario, SimConfig};
@@ -14,7 +10,7 @@ use activedr_trace::{read_traces, write_traces};
 #[test]
 fn snapshot_of_midreplay_state_round_trips() {
     let scenario = Scenario::build(Scale::Tiny, 30);
-    let stop = scenario.traces.replay_start_day as i64 + 100;
+    let stop = i64::from(scenario.traces.replay_start_day) + 100;
     let (_, fs) = run_until(
         &scenario.traces,
         scenario.initial_fs.clone(),
@@ -60,7 +56,7 @@ fn traces_round_trip_preserves_simulation_results() {
 #[test]
 fn restored_snapshot_continues_the_replay_identically() {
     let scenario = Scenario::build(Scale::Tiny, 32);
-    let mid = scenario.traces.replay_start_day as i64 + 50;
+    let mid = i64::from(scenario.traces.replay_start_day) + 50;
 
     // Continuous run to the horizon.
     let (continuous, _) = run_until(
@@ -84,7 +80,7 @@ fn restored_snapshot_continues_the_replay_identically() {
     // Trim the trace so replay (and the retention phase clock) restarts at
     // `mid`.
     let mut tail = scenario.traces.clone();
-    tail.replay_start_day = mid as u32;
+    tail.replay_start_day = scenario.traces.replay_start_day + 50;
     tail.accesses.retain(|a| a.ts >= Timestamp::from_days(mid));
 
     let (resumed, _) = run_until(&tail, restored, &SimConfig::flt(60), None);
@@ -102,9 +98,10 @@ fn restored_snapshot_continues_the_replay_identically() {
     }
     let cont_misses: u64 = cont_tail.iter().map(|d| d.misses).sum();
     let resumed_misses: u64 = resumed.daily.iter().map(|d| d.misses).sum();
-    let hi = cont_misses.max(resumed_misses) as f64;
+    let hi = convert::approx_f64(cont_misses.max(resumed_misses));
     if hi > 0.0 {
-        let rel = (cont_misses as f64 - resumed_misses as f64).abs() / hi;
+        let rel =
+            (convert::approx_f64(cont_misses) - convert::approx_f64(resumed_misses)).abs() / hi;
         assert!(
             rel < 0.35,
             "misses diverged: {cont_misses} vs {resumed_misses}"

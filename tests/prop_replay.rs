@@ -81,7 +81,7 @@ proptest! {
         let (full_b, _) = run_until(&traces, fs.clone(), &config, None);
         prop_assert_eq!(&full_a.daily, &full_b.daily);
 
-        let stop = traces.replay_start_day as i64 + 40;
+        let stop = i64::from(traces.replay_start_day) + 40;
         let (partial, _) = run_until(&traces, fs, &config, Some(stop));
         prop_assert_eq!(&full_a.daily[..partial.daily.len()], &partial.daily[..]);
     }
