@@ -668,23 +668,6 @@ impl CatalogIndex {
     }
 }
 
-/// Should an incremental trigger fold `net_deltas` pending net deltas
-/// into an index of `indexed_files` records, or is a plain namespace
-/// walk cheaper?
-///
-/// A flush costs O(net) resolution + sort + merge at roughly 4× the
-/// per-record cost of the lean trie walk, so the crossover sits near
-/// net/files ≈ 25 % — between the measured 15 %-churn (≈1.5×) and
-/// 35 %-churn (≈0.8×) sweep points in `docs/results/BENCH_catalog.json`.
-/// Below the threshold the engine flushes; above it the trigger falls
-/// back to a full scan and leaves the index and buffer intact (the
-/// buffer keeps coalescing, so `index ⊕ buffer = truth` still holds and
-/// a later quiet window flushes the backlog at batch cost).
-#[must_use]
-pub fn flush_beats_scan(net_deltas: usize, indexed_files: usize) -> bool {
-    net_deltas.saturating_mul(4) <= indexed_files.max(1)
-}
-
 /// Describe every way two catalogs differ, as human-readable lines
 /// (empty when identical). Used by the engine's debug-mode catalog guard
 /// to report incremental-vs-full-scan drift through the flight recorder
@@ -739,21 +722,6 @@ mod tests {
 
     fn day(d: i64) -> Timestamp {
         Timestamp::from_days(d)
-    }
-
-    #[test]
-    fn flush_beats_scan_crossover() {
-        // Crossover at net/files = 25%: flush at or below, scan above.
-        assert!(flush_beats_scan(0, 0));
-        assert!(flush_beats_scan(0, 1000));
-        assert!(flush_beats_scan(250, 1000));
-        assert!(!flush_beats_scan(251, 1000));
-        assert!(!flush_beats_scan(1000, 1000));
-        // Degenerate empty index: one pending delta means a scan (the
-        // walk of nothing is free), but zero pending still flushes.
-        assert!(!flush_beats_scan(1, 0));
-        // No overflow at the extremes.
-        assert!(!flush_beats_scan(usize::MAX, usize::MAX - 1));
     }
 
     fn populated() -> (VirtualFs, ExemptionList) {

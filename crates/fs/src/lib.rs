@@ -48,7 +48,7 @@ pub mod vfs;
 pub use changelog::{Changelog, Delta};
 pub use delta_buffer::DeltaBuffer;
 pub use exemption::ExemptionList;
-pub use index::{diff_catalogs, flush_beats_scan, CatalogIndex, PathKey, UserAggregates};
+pub use index::{diff_catalogs, CatalogIndex, PathKey, UserAggregates};
 pub use meta::FileMeta;
 pub use scan::{parallel_catalog, ScanResult, ShardReport};
 pub use snapshot::{Snapshot, SnapshotDiff, SnapshotEntry, SnapshotError};

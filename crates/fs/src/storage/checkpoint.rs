@@ -13,8 +13,8 @@
 //!
 //! `covered_seq` is the last WAL sequence folded into this state —
 //! recovery replays only records past it. The pending buffer rides
-//! along (with its raw-delta count) so a checkpoint taken mid-backlog —
-//! e.g. during a stretch of scan fallbacks — is still a complete cut.
+//! along (with its raw-delta count) so a checkpoint taken while deltas
+//! are still buffered is still a complete cut.
 //! The footer CRC32 covers every preceding byte; a checkpoint whose
 //! footer is missing, unparsable, or wrong is rejected wholesale and
 //! recovery falls back to the previous one (two are retained). Writes

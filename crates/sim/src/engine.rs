@@ -26,8 +26,8 @@ use activedr_core::convert;
 use activedr_core::prelude::*;
 use activedr_fs::changelog::Delta;
 use activedr_fs::{
-    diff_catalogs, flush_beats_scan, CatalogIndex, DeltaBuffer, DurabilityConfig, DurableCatalog,
-    ExemptionList, InjectedCrash, VirtualFs,
+    diff_catalogs, CatalogIndex, DeltaBuffer, DurabilityConfig, DurableCatalog, ExemptionList,
+    InjectedCrash, VirtualFs,
 };
 use activedr_obs::{Counter, Histogram, ObsConfig, Telemetry};
 use activedr_trace::{activity_events, AccessKind, TraceSet};
@@ -447,7 +447,6 @@ struct EngineMetrics {
     triggers_skipped: Counter,
     changelog_deltas: Counter,
     forced_flushes: Counter,
-    scan_fallbacks: Counter,
     guard_checks: Counter,
     guard_divergences: Counter,
     wal_appends: Counter,
@@ -476,6 +475,8 @@ impl EngineMetrics {
     const MICROS_BOUNDS: [u64; 7] = [10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000];
 
     fn new(tele: &Telemetry) -> Self {
+        // Always 0 now that every trigger flushes; perfbench's traced run fails if it is missing.
+        tele.counter("catalog.scan_fallbacks").add(0);
         EngineMetrics {
             reads: tele.counter("replay.reads"),
             misses: tele.counter("replay.misses"),
@@ -489,7 +490,6 @@ impl EngineMetrics {
             triggers_skipped: tele.counter("retention.triggers_skipped"),
             changelog_deltas: tele.counter("catalog.changelog_deltas"),
             forced_flushes: tele.counter("catalog.forced_flushes"),
-            scan_fallbacks: tele.counter("catalog.scan_fallbacks"),
             guard_checks: tele.counter("catalog.guard_checks"),
             guard_divergences: tele.counter("catalog.guard_divergences"),
             wal_appends: tele.counter("wal.appends"),
@@ -924,65 +924,30 @@ fn run_engine(
                     let net = buffer.len();
                     tele.gauge("catalog.buffer_depth")
                         .set_u64(convert::u64_from_usize(net));
-                    let indexed = index.file_count();
-                    let flush = flush_beats_scan(net, indexed);
-                    // Net-pending/indexed crossover ratio in basis points
-                    // (10 000 bp = backlog as large as the index), so the
-                    // series can chart how close each trigger sat to the
-                    // flush/scan decision boundary.
-                    let ratio_bp = convert::u64_from_usize(net).saturating_mul(10_000)
-                        / convert::u64_from_usize(indexed).max(1);
-                    tele.gauge("catalog.net_pending_ratio_bp").set_u64(ratio_bp);
-                    tele.flight(day, "trigger-decision", || {
+                    tele.flight(day, "changelog-flush", || {
                         format!(
-                            "net={net} indexed={indexed} ratio_bp={ratio_bp} raw={raw} \
-                             decision={}",
-                            if flush { "flush" } else { "scan" }
+                            "{raw} raw delta(s) coalesced to {net} net, folded into the catalog index"
                         )
                     });
-                    if flush {
-                        tele.flight(day, "changelog-flush", || {
-                            format!(
-                                "{raw} raw delta(s) coalesced to {net} net, folded into the catalog index"
-                            )
-                        });
-                        durable_append(
-                            &mut durable,
-                            durable_reopen_cfg.as_ref(),
-                            &fs,
-                            &config.exemptions,
-                            config.delta_buffer_cap,
-                            index,
-                            buffer,
-                            None,
-                            day,
-                            &metrics,
-                            tele,
-                        );
-                        index.flush(buffer, &config.exemptions);
-                        tele.gauge("catalog.dirty_users")
-                            .set_u64(convert::u64_from_usize(index.dirty_user_count()));
-                        tele.gauge("catalog.index_files")
-                            .set_u64(convert::u64_from_usize(index.file_count()));
-                        index.snapshot()
-                    } else {
-                        // Past the flush/scan crossover a namespace walk
-                        // is cheaper than folding the backlog. The index
-                        // and buffer stay intact — pending deltas keep
-                        // coalescing, so `index ⊕ buffer` still equals
-                        // the truth and a quieter trigger (or the forced
-                        // end-of-day flush) drains the backlog later.
-                        metrics.scan_fallbacks.inc();
-                        tele.flight(day, "changelog-scan", || {
-                            format!(
-                                "{net} net pending delta(s) vs {} indexed file(s): past the \
-                                 flush/scan crossover, serving this trigger from a full walk",
-                                index.file_count()
-                            )
-                        });
-                        full_catalog = fs.catalog(&config.exemptions);
-                        &full_catalog
-                    }
+                    durable_append(
+                        &mut durable,
+                        durable_reopen_cfg.as_ref(),
+                        &fs,
+                        &config.exemptions,
+                        config.delta_buffer_cap,
+                        index,
+                        buffer,
+                        None,
+                        day,
+                        &metrics,
+                        tele,
+                    );
+                    index.flush(buffer, &config.exemptions);
+                    tele.gauge("catalog.dirty_users")
+                        .set_u64(convert::u64_from_usize(index.dirty_user_count()));
+                    tele.gauge("catalog.index_files")
+                        .set_u64(convert::u64_from_usize(index.file_count()));
+                    index.snapshot()
                 }
             };
             drop(catalog_span);
@@ -1180,7 +1145,7 @@ fn run_engine(
                 durable = None;
             }
             // Close a trigger-granularity telemetry window (fired or
-            // skipped), capturing the adaptive-trigger gauges set above.
+            // skipped), capturing the catalog gauges set above.
             tele.sample_trigger(day);
         }
 

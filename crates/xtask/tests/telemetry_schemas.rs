@@ -18,16 +18,16 @@ use xtask::telemetry::{validate_bench, validate_jsonl, validate_telemetry, valid
 
 const TELEMETRY: &str = r#"{"version":2,
     "counters":{"replay.reads":100,"retention.purged_files":40},
-    "gauges":{"catalog.net_pending_ratio_bp":1200},
+    "gauges":{"catalog.buffer_depth":1200},
     "histograms":[{"name":"retention.trigger_micros","bounds":[100,1000],
                    "counts":[3,1,0],"count":4,"sum":900}],
     "spans":[{"name":"run","count":1,"total_micros":9,"children":[]}],
-    "flight":[{"seq":0,"day":30,"kind":"trigger-decision",
-               "detail":"net=4 indexed=100 ratio_bp=400 raw=5 decision=flush"}],
+    "flight":[{"seq":0,"day":30,"kind":"changelog-flush",
+               "detail":"5 raw delta(s) coalesced to 4 net, folded into the catalog index"}],
     "series":{
       "day":{"capacity":8,"stride":2,"rollups":1,"raw_samples":5,
         "counters":["replay.reads","retention.purged_files"],
-        "gauges":["catalog.net_pending_ratio_bp"],
+        "gauges":["catalog.buffer_depth"],
         "histograms":["retention.trigger_micros"],
         "points":[
           {"start_day":0,"end_day":1,"windows":2,"complete":true,

@@ -80,7 +80,7 @@ fn populated_telemetry() -> Telemetry {
     for name in [
         "catalog.changelog_depth",
         "catalog.buffer_depth",
-        "catalog.net_pending_ratio_bp",
+        "catalog.index_files",
         "fs.final_files",
     ] {
         tele.gauge(name).set(11);

@@ -432,79 +432,55 @@ fn catalog_guard_runs_clean_and_changes_nothing() {
 }
 
 #[test]
-fn adaptive_trigger_falls_back_to_scan_under_heavy_churn() {
+fn every_trigger_flushes_under_heavy_churn() {
     let sc = scenario();
     // Stretch the trigger interval so each trigger faces ~60 days of
-    // accumulated churn: at Tiny scale that puts net-pending deltas
-    // well past the flush/scan crossover, forcing the adaptive trigger
-    // onto the full-walk fallback at least once.
-    let mut config = SimConfig::activedr(30).with_catalog_mode(CatalogMode::Incremental);
+    // accumulated churn: at Tiny scale the net backlog reaches a large
+    // share of the index, and the trigger must still fold all of it.
+    let mut config = SimConfig::activedr(30)
+        .with_catalog_mode(CatalogMode::Incremental)
+        .with_catalog_guard(1);
     config.purge_interval_days = 60;
     let mut full_cfg = config.clone();
     full_cfg.catalog_mode = CatalogMode::FullScan;
     let full = run(&sc.traces, sc.initial_fs.clone(), &full_cfg);
 
-    let tele = Telemetry::on();
+    // A ring large enough that no trigger's events are evicted.
+    let mut obs = ObsConfig::on();
+    obs.flight_capacity = 1 << 16;
+    let tele = Telemetry::new(&obs);
     let (inc, _) = run_with_telemetry(&sc.traces, sc.initial_fs.clone(), &config, &tele);
     assert_eq!(
         result_bytes(&full),
         result_bytes(&inc),
-        "scan fallback changed the replay outcome"
+        "flushing a large backlog changed the replay outcome"
     );
     let report = tele.report();
-    let fallbacks = report.counter("catalog.scan_fallbacks").unwrap_or(0);
-    assert!(
-        fallbacks >= 1,
-        "60 days of churn per trigger should cross the flush/scan threshold"
-    );
-    assert!(
-        report.flight.iter().any(|e| e.kind == "changelog-scan"),
-        "fallback triggers should leave a changelog-scan flight event"
-    );
-    // Adaptive-trigger observability: every incremental trigger leaves a
-    // per-decision flight event, and the crossover-ratio gauge holds the
-    // last trigger's net-pending/indexed ratio in basis points.
-    let decisions: Vec<_> = report
+    assert!(report.counter("catalog.guard_checks").unwrap_or(0) >= 1);
+    assert_eq!(report.counter("catalog.guard_divergences"), Some(0));
+
+    let trigger_days: Vec<i64> = report
         .flight
         .iter()
-        .filter(|e| e.kind == "trigger-decision")
+        .filter(|e| e.kind == "trigger" || e.kind == "trigger-skip")
+        .map(|e| e.day)
         .collect();
-    assert!(!decisions.is_empty(), "no trigger-decision events retained");
-    for d in &decisions {
+    let triggers = report.counter("retention.triggers_fired").unwrap_or(0)
+        + report.counter("retention.triggers_skipped").unwrap_or(0);
+    assert!(triggers >= 1, "the replay should reach a trigger");
+    assert_eq!(
+        u64::try_from(trigger_days.len()).expect("count fits"),
+        triggers,
+        "every trigger's flight event should be retained"
+    );
+    for day in trigger_days {
         assert!(
-            d.detail.contains("net=")
-                && d.detail.contains("indexed=")
-                && d.detail.contains("ratio_bp=")
-                && d.detail.contains("raw=")
-                && (d.detail.contains("decision=flush") || d.detail.contains("decision=scan")),
-            "malformed decision detail: {}",
-            d.detail
+            report.flight.iter().any(|e| e.day == day
+                && e.kind == "changelog-flush"
+                && !e.detail.starts_with("forced:")),
+            "the trigger on day {day} was not served by a flush"
         );
     }
-    assert!(
-        decisions.iter().any(|d| d.detail.contains("decision=scan")),
-        "the scan fallback should be visible in the decision log"
-    );
-    let ratio = report
-        .gauge("catalog.net_pending_ratio_bp")
-        .expect("crossover gauge registered");
-    assert!(ratio >= 0);
-    // The scan decision fires past the ~25% crossover, so the last
-    // trigger that scanned must have seen a ratio above 2 500 bp — and
-    // the gauge is only overwritten at trigger boundaries, so whatever
-    // it holds came from a real decision.
-    let scanned_high = decisions.iter().any(|d| {
-        d.detail
-            .split("ratio_bp=")
-            .nth(1)
-            .and_then(|t| t.split_whitespace().next())
-            .and_then(|n| n.parse::<u64>().ok())
-            .is_some_and(|bp| bp > 2_500 && d.detail.contains("decision=scan"))
-    });
-    assert!(scanned_high, "scan decisions should sit past the crossover");
-    // The fallback leaves index + buffer intact, so the end-of-day
-    // forced flush must still reconcile them: no divergence counters.
-    assert_eq!(report.counter("catalog.guard_divergences").unwrap_or(0), 0);
 }
 
 #[test]

@@ -523,51 +523,76 @@ fn durable_replay_is_bitwise_identical_to_in_memory_replay() {
 #[test]
 fn crash_point_sweep_recovers_identically_everywhere() {
     let scenario = Scenario::build(Scale::Tiny, 92);
-    let base = SimConfig::activedr(30).with_catalog_mode(CatalogMode::Incremental);
     let start = i64::from(scenario.traces.replay_start_day);
-    // Bound the sweep: 8 trigger boundaries (weekly interval) keep the
-    // whole matrix in seconds while still crossing checkpoint cadence
-    // (every 2 triggers) several times.
-    let until = Some(start + 8 * 7 + 1);
+    // Bound each sweep to a few trigger boundaries so the whole matrix
+    // stays in seconds while still crossing checkpoint cadence (every 2
+    // triggers). The weekly config crosses it several times; the monthly
+    // one makes every trigger flush a month of churn — a backlog several
+    // times the first week's — so kills also land on large flushes.
+    for (interval, triggers) in [(7u32, 8u32), (30, 4)] {
+        let mut base = SimConfig::activedr(30).with_catalog_mode(CatalogMode::Incremental);
+        base.purge_interval_days = interval;
+        let until = Some(start + i64::from(interval * triggers) + 1);
 
-    // Golden: the uninterrupted durable run (itself proven equal to the
-    // in-memory run by the test above).
-    let golden_dir = ScratchDir::new("golden");
-    let golden_cfg = base
-        .clone()
-        .with_durability(DurabilityConfig::new(golden_dir.path()).with_checkpoint_every(2));
-    let (golden_res, golden_probes) = probed_run(&scenario, &golden_cfg, until);
-    let golden = digest(&golden_res);
-    let boundaries = u32::try_from(golden_probes.len()).unwrap();
-    assert!(boundaries >= 8, "expected 8 trigger boundaries");
-    let total_wal = wal_bytes(golden_dir.path()).len() as u64;
-    assert!(total_wal > 0, "golden run wrote no WAL");
-
-    // Kill at every trigger boundary.
-    for t in 1..=boundaries {
-        let scratch = ScratchDir::new(&format!("at-trigger-{t}"));
-        let cfg = base.clone().with_durability(
-            DurabilityConfig::new(scratch.path())
-                .with_checkpoint_every(2)
-                .with_injected_crash(InjectedCrash::AtTrigger(t)),
+        // Golden: the uninterrupted durable run (itself proven equal to
+        // the in-memory run by the test above).
+        let golden_dir = ScratchDir::new(&format!("golden-{interval}"));
+        let golden_cfg = base
+            .clone()
+            .with_durability(DurabilityConfig::new(golden_dir.path()).with_checkpoint_every(2));
+        let (golden_res, golden_probes) = probed_run(&scenario, &golden_cfg, until);
+        let golden = digest(&golden_res);
+        let boundaries = u32::try_from(golden_probes.len()).unwrap();
+        assert!(
+            boundaries >= triggers,
+            "interval {interval}: expected {triggers} trigger boundaries"
         );
-        let (res, probes) = probed_run(&scenario, &cfg, until);
-        assert_eq!(probes, golden_probes, "trigger {t}: probe divergence");
-        assert_eq!(digest(&res), golden, "trigger {t}: result divergence");
-    }
-
-    // Kill mid-write at byte offsets spread across the WAL.
-    let offsets: Vec<u64> = (1..=8).map(|i| i * total_wal / 9).collect();
-    for off in offsets {
-        let scratch = ScratchDir::new(&format!("at-byte-{off}"));
-        let cfg = base.clone().with_durability(
-            DurabilityConfig::new(scratch.path())
-                .with_checkpoint_every(2)
-                .with_injected_crash(InjectedCrash::AtWalByte(off)),
+        let total_wal = wal_bytes(golden_dir.path()).len() as u64;
+        assert!(
+            total_wal > 0,
+            "interval {interval}: golden run wrote no WAL"
         );
-        let (res, probes) = probed_run(&scenario, &cfg, until);
-        assert_eq!(probes, golden_probes, "byte {off}: probe divergence");
-        assert_eq!(digest(&res), golden, "byte {off}: result divergence");
+
+        // Kill at every trigger boundary.
+        for t in 1..=boundaries {
+            let scratch = ScratchDir::new(&format!("at-trigger-{interval}-{t}"));
+            let cfg = base.clone().with_durability(
+                DurabilityConfig::new(scratch.path())
+                    .with_checkpoint_every(2)
+                    .with_injected_crash(InjectedCrash::AtTrigger(t)),
+            );
+            let (res, probes) = probed_run(&scenario, &cfg, until);
+            assert_eq!(
+                probes, golden_probes,
+                "interval {interval}, trigger {t}: probe divergence"
+            );
+            assert_eq!(
+                digest(&res),
+                golden,
+                "interval {interval}, trigger {t}: result divergence"
+            );
+        }
+
+        // Kill mid-write at byte offsets spread across the WAL.
+        let offsets: Vec<u64> = (1..=8).map(|i| i * total_wal / 9).collect();
+        for off in offsets {
+            let scratch = ScratchDir::new(&format!("at-byte-{interval}-{off}"));
+            let cfg = base.clone().with_durability(
+                DurabilityConfig::new(scratch.path())
+                    .with_checkpoint_every(2)
+                    .with_injected_crash(InjectedCrash::AtWalByte(off)),
+            );
+            let (res, probes) = probed_run(&scenario, &cfg, until);
+            assert_eq!(
+                probes, golden_probes,
+                "interval {interval}, byte {off}: probe divergence"
+            );
+            assert_eq!(
+                digest(&res),
+                golden,
+                "interval {interval}, byte {off}: result divergence"
+            );
+        }
     }
 }
 
